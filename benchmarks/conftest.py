@@ -31,19 +31,17 @@ from repro.core import ToolchainOptions, run_toolchain, translate_system
 from repro.scheduling import task_set_from_instance
 from repro.sig.engine import DEFAULT_BACKEND
 
-#: Where the persisted E10 measurements live (repo root, committed across
-#: PRs so the perf trajectory stays reviewable).  Override with the
-#: ``REPRO_BENCH_E10_JSON`` environment variable; set it to ``off`` to skip
-#: persisting (useful for throwaway local runs).
-BENCH_E10_JSON = os.environ.get(
-    "REPRO_BENCH_E10_JSON",
-    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_e10.json"),
-)
+#: Environment variable naming the file the E10 measurements are merged
+#: into (the committed trajectory is ``BENCH_e10.json`` at the repo root).
+#: Unset (or ``off``) means nothing is written, so an ordinary test run
+#: never touches a tracked file; the CI benchmark job sets it.
+BENCH_E10_JSON_VARIABLE = "REPRO_BENCH_E10_JSON"
 
 
 class BenchE10Recorder:
     """Collects per-config wall-clock measurements during a benchmark session
-    and merges them into ``BENCH_e10.json`` when the session ends."""
+    and merges them into the file ``REPRO_BENCH_E10_JSON`` names when the
+    session ends (nothing is written when it is unset)."""
 
     def __init__(self) -> None:
         self.measurements = {}
@@ -91,7 +89,8 @@ class BenchE10Recorder:
         self.measurements[key] = entry
 
     def flush(self, session_config=None) -> None:
-        if not self.measurements or BENCH_E10_JSON.lower() == "off":
+        path = os.environ.get(BENCH_E10_JSON_VARIABLE, "")
+        if not self.measurements or not path or path.lower() == "off":
             return
         # Quick-mode sessions (--benchmark-disable: the tier-1 CI jobs) run
         # the recording tests as plain tests; their timings are not
@@ -103,9 +102,9 @@ class BenchE10Recorder:
             except (ValueError, KeyError):
                 pass
         document = {}
-        if os.path.exists(BENCH_E10_JSON):
+        if os.path.exists(path):
             try:
-                with open(BENCH_E10_JSON, "r", encoding="utf-8") as handle:
+                with open(path, "r", encoding="utf-8") as handle:
                     document = json.load(handle)
             except (OSError, ValueError):
                 document = {}
@@ -133,7 +132,7 @@ class BenchE10Recorder:
                     continue
             if stamped:
                 document["pytest_benchmark"] = stamped
-        with open(BENCH_E10_JSON, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")
 

@@ -1,9 +1,9 @@
 """E17 — fault-tolerant batch execution under supervision.
 
-The serving layer and fleet-scale sweeps run on ``run_batch_parallel``;
-before they can exist, the execution substrate must survive real faults.
-This benchmark drives a 64-scenario batch through the supervised executor
-with *injected* crashes, hangs and slowdowns
+Every batch — ``simulate_batch``, the serving layer, fleet-scale sweeps —
+runs on the supervised executor ``run_batch_supervised``, so the execution
+substrate must survive real faults.  This benchmark drives a 64-scenario
+batch through it with *injected* crashes, hangs and slowdowns
 (:class:`~repro.sig.engine.faults.FaultPlan`) and gates three properties:
 
 1. **survival** — the faulted batch completes (no wedge, no poisoned
@@ -12,14 +12,15 @@ with *injected* crashes, hangs and slowdowns
    expected kind, and transient faults are recovered by the retry ladder;
 2. **bit-identity** — every surviving scenario's trace equals the
    fault-free serial run of the same scenario, value for value;
-3. **overhead** — fault-free *supervised* execution costs at most
-   **1.3x** the plain (fire-and-forget) pool on the same 64 scenarios and
-   the same 2 workers: supervision is per-scenario pipe messages plus a
+3. **overhead** — a fault-free batch *armed* with a timeout and retries
+   (``timeout=60, retries=2``) costs at most **1.3x** the same batch
+   without knobs (the supervision defaults) on the same 64 scenarios and
+   the same 2 workers: arming adds per-worker deadlines to the
    ``connection.wait`` loop, not a second copy of the work.
 
 Recorded as ``fault_tolerance_e17`` in ``BENCH_e10.json``
-(``before_seconds`` = plain pool, ``after_seconds`` = supervised
-fault-free, so ``speedup`` is the inverse of the overhead ratio).
+(``before_seconds`` = batch without knobs, ``after_seconds`` = armed
+batch, so ``speedup`` is the inverse of the overhead ratio).
 """
 
 import pytest
@@ -27,8 +28,7 @@ import pytest
 from bench_timing import best_of
 
 from repro.sig import builder as b
-from repro.sig.engine import FaultPlan, FaultSpec, create_backend
-from repro.sig.engine.parallel import run_batch_parallel
+from repro.sig.engine import FaultPlan, FaultSpec, create_backend, run_batch_supervised
 from repro.sig.process import ProcessModel
 from repro.sig.scenario import Scenario
 from repro.sig.values import BOOLEAN, REAL
@@ -53,8 +53,8 @@ EXPECTED_FAULTS = {5: "crash", 13: "timeout"}
 
 
 def build_model(counters=COUNTERS):
-    """A delay-counter pipeline: enough per-scenario work that the pool's
-    dispatch cost is amortised, built from core operators only (no
+    """A delay-counter pipeline: enough per-scenario work that the
+    workers' dispatch cost is amortised, built from core operators only (no
     registered user ops, so it ships to spawn workers too)."""
     model = ProcessModel("fault_tolerance_e17")
     model.input("s", REAL)
@@ -86,21 +86,21 @@ def _flows(trace):
 
 def test_bench_e17_fault_tolerance(bench_e10):
     """Acceptance gate: the chaos batch survives with bit-identical
-    survivors and typed faults, and fault-free supervision costs <= 1.3x
-    the plain pool."""
+    survivors and typed faults, and an armed fault-free batch costs <= 1.3x
+    the same batch without knobs."""
     model = build_model()
     runner = create_backend(model, backend="compiled", strict=False)
     scenarios = build_scenarios()
 
     # Fault-free serial baseline: the bit-identity oracle.
-    serial_traces, _, _, _ = run_batch_parallel(
+    serial_traces, _, _, _ = run_batch_supervised(
         runner, scenarios, workers=1, collect_errors=True
     )
     assert all(trace is not None for trace in serial_traces)
 
     # --- survival: the chaos batch completes with typed faults ----------
     plan = FaultPlan(FAULT_SPECS)
-    traces, errors, _, faults = run_batch_parallel(
+    traces, errors, _, faults = run_batch_supervised(
         runner,
         scenarios,
         workers=WORKERS,
@@ -126,14 +126,14 @@ def test_bench_e17_fault_tolerance(bench_e10):
         )
     assert all(traces[index] is None for index in EXPECTED_FAULTS)
 
-    # --- overhead: fault-free supervised <= 1.3x the plain pool ---------
-    def plain():
-        return run_batch_parallel(
+    # --- overhead: armed fault-free batch <= 1.3x the batch without knobs
+    def knob_free():
+        return run_batch_supervised(
             runner, scenarios, workers=WORKERS, collect_errors=True
         )
 
-    def supervised():
-        return run_batch_parallel(
+    def armed():
+        return run_batch_supervised(
             runner,
             scenarios,
             workers=WORKERS,
@@ -142,17 +142,18 @@ def test_bench_e17_fault_tolerance(bench_e10):
             retries=2,
         )
 
-    plain_result, plain_seconds = best_of(plain)
-    supervised_result, supervised_seconds = best_of(supervised)
-    assert not supervised_result[3]  # fault-free: no ScenarioFault entries
+    knob_free_result, knob_free_seconds = best_of(knob_free)
+    armed_result, armed_seconds = best_of(armed)
+    assert not knob_free_result[3] and not armed_result[3]  # fault-free
     for index in range(SCENARIOS):
-        assert _flows(supervised_result[0][index]) == _flows(plain_result[0][index])
+        assert _flows(armed_result[0][index]) == _flows(knob_free_result[0][index])
+        assert _flows(knob_free_result[0][index]) == _flows(serial_traces[index])
 
-    overhead = supervised_seconds / plain_seconds
+    overhead = armed_seconds / knob_free_seconds
     bench_e10.record(
         "fault_tolerance_e17",
-        before_seconds=plain_seconds,
-        after_seconds=supervised_seconds,
+        before_seconds=knob_free_seconds,
+        after_seconds=armed_seconds,
         backend="compiled",
         workers=WORKERS,
         scenarios=SCENARIOS,
@@ -167,9 +168,9 @@ def test_bench_e17_fault_tolerance(bench_e10):
         f"\nE17 — fault tolerance ({SCENARIOS} scenarios x {INSTANTS} instants, "
         f"{WORKERS} workers): chaos batch survived with faults "
         f"{sorted(EXPECTED_FAULTS)} and {len(survivors)} bit-identical "
-        f"survivors; fault-free plain {plain_seconds:.2f}s vs supervised "
-        f"{supervised_seconds:.2f}s ({overhead:.2f}x overhead)"
+        f"survivors; fault-free without knobs {knob_free_seconds:.2f}s vs "
+        f"armed {armed_seconds:.2f}s ({overhead:.2f}x overhead)"
     )
     assert overhead <= 1.3, (
-        f"supervised fault-free overhead {overhead:.2f}x exceeds the 1.3x gate"
+        f"armed fault-free overhead {overhead:.2f}x exceeds the 1.3x gate"
     )

@@ -43,10 +43,6 @@ setup(
         # The vectorized simulation backend soft-depends on numpy: without
         # it the backend degrades to the compiled execution plan.
         "vectorized": ["numpy"],
-        # The lowered (codegen) backend soft-depends on numba for jit=True:
-        # without it the generated evaluators run as plain Python with a
-        # RuntimeWarning.
-        "lowered": ["numba"],
         # The HTTP serving layer (repro.serve / `repro serve`) soft-depends
         # on fastapi + uvicorn; the framework-free service core works
         # without them.  httpx powers the no-socket ASGI test client.

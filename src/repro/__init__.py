@@ -45,8 +45,9 @@ sitting between scheduling and execution:
 Many-scenario workloads go through :func:`repro.sig.engine.simulate_batch`,
 which prepares the backend once and replays the whole scenario batch
 (`repro.casestudies.scenario_sweep` builds such batches for generated
-designs); ``workers=N`` shards the batch over worker processes
-(:mod:`repro.sig.engine.parallel`) with bit-identical traces and errors.
+designs); ``workers=N`` shards the batch over supervised worker
+processes (:mod:`repro.sig.engine.supervisor`) with bit-identical traces
+and errors.
 New backends (numpy kernels, generated C) register in
 :data:`repro.sig.engine.BACKENDS`.
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .aadl.model import AadlModel, ComponentCategory
-from .aadl.parser import parse_file, parse_string
-from .casestudies import CATALOG, PRODUCER_CONSUMER_AADL, load_case_study
+from .aadl.parser import parse_file
+from .casestudies import CATALOG, catalog_names, load_case_study
 from .core import ToolchainOptions, TranslationConfig, run_toolchain
 from .scheduling import SchedulingPolicy, export_affine_clocks
 from .sig.engine import (
@@ -111,10 +111,22 @@ class _AlarmSink(TraceSink):
         return self.fired
 
 
-def _load_model(path: str) -> AadlModel:
-    if path == "producer_consumer":
-        return parse_string(PRODUCER_CONSUMER_AADL, filename="ProducerConsumer.aadl")
-    return parse_file(path)
+def _load_model(path: str) -> Tuple[AadlModel, Optional[str], Optional[str]]:
+    """``(model, catalog root, catalog package)`` of a model argument.
+
+    A bundled case-study name (``repro casestudy --list``) loads that
+    catalog entry, whose root implementation and package become the
+    defaults; anything else is an ``.aadl`` path.  A path that cannot be
+    read is a user error: one ``error:`` line on stderr, exit code 2.
+    """
+    if path in catalog_names():
+        entry = load_case_study(path)
+        return entry.load_model(), entry.root_implementation, entry.default_package
+    try:
+        return parse_file(path), None, None
+    except OSError as exc:
+        print(f"error: cannot read model {path!r}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _default_root(model: AadlModel) -> Optional[str]:
@@ -147,8 +159,8 @@ def _toolchain(
     sinks=None,
     materialize_trace: bool = True,
 ) -> "ToolchainResult":
-    model = _load_model(args.model)
-    root = args.root or _default_root(model)
+    model, catalog_root, catalog_package = _load_model(args.model)
+    root = args.root or catalog_root or _default_root(model)
     if root is None:
         raise SystemExit("error: no system implementation found; pass --root explicitly")
     backend_options = {}
@@ -156,7 +168,7 @@ def _toolchain(
         backend_options["block_size"] = args.block_size
     options = ToolchainOptions(
         root_implementation=root,
-        default_package=next(iter(model.packages), None),
+        default_package=catalog_package or next(iter(model.packages), None),
         translation=TranslationConfig(
             include_scheduler=not getattr(args, "no_scheduler", False),
             scheduling_policy=SchedulingPolicy.from_name(getattr(args, "policy", "RM")),
@@ -375,8 +387,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             # With --no-trace the sweep streams too: each scenario aggregates
             # into a per-worker statistics sink instead of materialising.
             sink_factory=_stats_sink_factory if args.no_trace else None,
-            # Any of these being set routes the sweep through the supervised
-            # executor: faulted scenarios are reported, not fatal.
+            # Supervision knobs; faulted scenarios are reported, not fatal.
             timeout=result.options.timeout if result.options else None,
             retries=result.options.retries if result.options else None,
             max_failures=result.options.max_failures if result.options else None,
@@ -603,7 +614,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("model", help="path to an .aadl file (or 'producer_consumer' for the bundled case study)")
+        p.add_argument(
+            "model",
+            help="path to an .aadl file, or the name of a bundled case study "
+            "(see 'repro casestudy --list')",
+        )
         p.add_argument("--root", help="root system implementation (default: first system implementation found)")
         p.add_argument("--policy", default="RM", help="scheduling policy: RM, DM, EDF or Priority (default RM)")
         p.add_argument("--no-scheduler", action="store_true", help="translate without scheduler synthesis")
@@ -670,10 +685,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="supervise the --batch sweep with a wall-clock timeout per "
-        "scenario attempt: hung or crashed workers are replaced, failed "
-        "attempts retried, and unrecoverable scenarios reported as faults "
-        "instead of wedging the sweep",
+        help="a wall-clock timeout per scenario attempt of the --batch "
+        "sweep: hung workers are replaced, failed attempts retried, and "
+        "unrecoverable scenarios reported as faults instead of wedging the "
+        "sweep",
     )
     simulate.add_argument(
         "--retries",
@@ -681,8 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="retry each failed --batch scenario up to N times with "
-        "exponential backoff (setting this enables supervision; supervised "
-        "default 2)",
+        "exponential backoff (default 2)",
     )
     simulate.add_argument(
         "--max-failures",
@@ -836,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_run.add_argument(
         "--retries", type=_non_negative_int, default=None, metavar="N",
-        help="retry failed scenarios up to N times (enables supervision)",
+        help="retry failed scenarios up to N times (default 2)",
     )
     sweep_run.add_argument(
         "--max-failures", type=_non_negative_int, default=None, metavar="N",

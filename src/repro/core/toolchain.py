@@ -100,17 +100,15 @@ class ToolchainOptions:
     #: trace-dependent stages (profiling, post-hoc VCD) are skipped.
     materialize_trace: bool = True
     #: Wall-clock seconds per scenario attempt in batched sweeps (CLI
-    #: ``--timeout``).  Setting this (or :attr:`retries` /
-    #: :attr:`max_failures`) routes batches through the supervised executor
-    #: (:mod:`repro.sig.engine.supervisor`): crashed/hung workers are
-    #: replaced, failed attempts retried, and unrecoverable scenarios
-    #: surface as :class:`~repro.sig.engine.supervisor.ScenarioFault`
-    #: entries instead of taking the sweep down.  ``None`` keeps the plain
-    #: pool fast path.
+    #: ``--timeout``); ``None`` sets no timeout.  Batches always run under
+    #: the supervised executor (:mod:`repro.sig.engine.supervisor`):
+    #: crashed/hung workers are replaced, failed attempts retried, and
+    #: unrecoverable scenarios surface as
+    #: :class:`~repro.sig.engine.supervisor.ScenarioFault` entries instead
+    #: of taking the sweep down.
     timeout: Optional[float] = None
-    #: Retry attempts per failed scenario under supervision (CLI
-    #: ``--retries``); ``None`` = supervised default (2) when supervision
-    #: is on.
+    #: Retry attempts per failed scenario (CLI ``--retries``); ``None`` =
+    #: the supervisor's default (2).
     retries: Optional[int] = None
     #: Batch-wide circuit breaker: more than this many failed attempts
     #: abandons the remaining retries (CLI ``--max-failures``).

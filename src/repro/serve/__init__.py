@@ -14,7 +14,7 @@ amortised across all traffic instead of paid per CLI invocation:
 * :mod:`repro.serve.app` — the thin FastAPI adapter (only importable when
   fastapi is installed).
 
-FastAPI and uvicorn are **soft dependencies** following the numpy/numba
+FastAPI and uvicorn are **soft dependencies** following the numpy
 pattern: importing ``repro.serve`` (and everything above except ``app``)
 never imports them, :func:`serve_available` reports whether the HTTP
 layer can run, and :func:`create_app` raises a clean ImportError naming

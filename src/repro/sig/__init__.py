@@ -138,7 +138,6 @@ from .engine import (
     create_backend,
     default_scenario,
     default_worker_count,
-    run_batch_parallel,
     simulate_batch,
 )
 from . import analysis, builder, engine, library, scenario, sinks, vcd
@@ -186,7 +185,7 @@ __all__ = [
     "BACKENDS", "DEFAULT_BACKEND", "BatchResult", "CompiledBackend",
     "ExecutionPlan", "ReferenceBackend", "SimulationBackend", "backend_names",
     "compile_plan", "create_backend", "default_scenario", "default_worker_count",
-    "run_batch_parallel", "simulate_batch",
+    "simulate_batch",
     # submodules
     "analysis", "builder", "engine", "library", "scenario", "sinks", "vcd",
 ]

@@ -13,20 +13,21 @@ implementations:
   residual sweeps (:mod:`repro.sig.engine.vectorized`); soft-depends on
   numpy and degrades to ``compiled`` with a warning when it is missing;
 * ``lowered`` — per-equation generated flat Python evaluators replacing the
-  plan's closure interpreter (:mod:`repro.sig.engine.lowered`); optional
-  ``jit=True`` uses numba (object mode) when importable and warns
-  otherwise.
+  plan's closure interpreter (:mod:`repro.sig.engine.lowered`).
 
 Use :func:`simulate` for a single scenario, :func:`simulate_batch` to run a
 whole batch through one prepared backend (``workers=N`` shards it over
-processes), and :func:`create_backend` when you want to keep a prepared
-model around.  All backends are trace- and error-identical by construction
+processes; every batch runs under the supervised executor of
+:mod:`repro.sig.engine.supervisor`), and :func:`create_backend` when you
+want to keep a prepared model around.  All backends are trace- and error-identical by construction
 (enforced by the catalog parity tests), so switching them is purely a
 performance decision.
 
+Every run delivers its trace through :class:`~repro.sig.sinks.TraceSink`
+objects; without ``sinks=`` it drives one
+:class:`~repro.sig.sinks.MaterializeSink` and returns its trace.
 Long-horizon runs stream instead of materialising: pass ``sinks=[...]``
-(single runs) or ``sink_factory=...`` (batches) with the
-:class:`~repro.sig.sinks.TraceSink` implementations from
+(single runs) or ``sink_factory=...`` (batches) with the sinks from
 :mod:`repro.sig.sinks` / :mod:`repro.sig.vcd`, and memory stays O(signals)
 however many instants the scenario has.
 """
@@ -55,15 +56,14 @@ from .lowered import (
     LoweredExecutionPlan,
     compile_lowered,
     lower_plan_evaluators,
-    numba_available,
 )
-from .parallel import default_worker_count, run_batch_parallel
 from .plan import ExecutionPlan, PlanStatistics, TargetPlan, compile_plan
 from .supervisor import (
     BudgetExceeded,
     ScenarioBudget,
     ScenarioFault,
     ScenarioTimeout,
+    default_worker_count,
     run_batch_supervised,
 )
 from .vectorized import (
@@ -89,7 +89,8 @@ def simulate(
     """One-shot helper: prepare the chosen backend and run *scenario*.
 
     Without *sinks* the recorded flows come back as a
-    :class:`~repro.sig.simulator.SimulationTrace`.  With *sinks* (one
+    :class:`~repro.sig.simulator.SimulationTrace` (the run drives one
+    :class:`~repro.sig.sinks.MaterializeSink`).  With *sinks* (one
     :class:`~repro.sig.sinks.TraceSink` or a list) the run streams each
     instant into them and returns ``None`` — O(signals) memory however long
     the scenario; include a :class:`~repro.sig.sinks.MaterializeSink` to
@@ -139,9 +140,7 @@ __all__ = [
     "default_scenario",
     "default_worker_count",
     "lower_plan_evaluators",
-    "numba_available",
     "numpy_available",
-    "run_batch_parallel",
     "run_batch_supervised",
     "simulate",
     "simulate_batch",

@@ -18,8 +18,7 @@ that can run :class:`~repro.sig.simulator.Scenario` objects and produce
   the compiled executor when numpy is missing;
 * :class:`~repro.sig.engine.lowered.LoweredBackend` (registered by
   :mod:`repro.sig.engine.lowered`) — the compiled plan with generated
-  flat Python evaluators in place of the closure interpreter; optional
-  ``jit=True`` uses numba (object mode) when importable.
+  flat Python evaluators in place of the closure interpreter.
 
 All backends produce bit-identical traces and raise the same simulation
 errors; the integration tests ``tests/integration/test_backend_parity.py``,
@@ -32,12 +31,12 @@ in by subclassing :class:`SimulationBackend` and registering in
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Type
+from typing import Any, Dict, Iterable, List, Optional, Type
 
 from ..process import ProcessModel
 from ..scenario import Scenario
 from ..simulator import SimulationTrace, Simulator
-from ..sinks import SinkFactory, SinkOrSinks, as_sink_list
+from ..sinks import SinkOrSinks
 from .plan import ExecutionPlan, compile_plan
 
 
@@ -69,82 +68,16 @@ class SimulationBackend:
         """Run one scenario from a fresh initial state.
 
         Without *sinks* the recorded flows come back as a
-        :class:`~repro.sig.simulator.SimulationTrace`.  With *sinks* each
+        :class:`~repro.sig.simulator.SimulationTrace` (the run drives one
+        :class:`~repro.sig.sinks.MaterializeSink`).  With *sinks* each
         resolved instant is streamed into them instead (O(signals) memory)
         and the method returns ``None``; see :mod:`repro.sig.sinks`.
         *length* overrides the scenario's default horizon (required when
-        the scenario is unbounded).
+        the scenario is unbounded).  Batches of scenarios run through
+        :func:`~repro.sig.engine.batch.simulate_batch` (``runner=`` for an
+        already prepared backend).
         """
         raise NotImplementedError
-
-    def run_batch(
-        self,
-        scenarios: Sequence[Scenario],
-        record: Optional[Iterable[str]] = None,
-        workers: int = 1,
-        sink_factory: Optional[SinkFactory] = None,
-        length: Optional[int] = None,
-    ) -> List[Any]:
-        """Run every scenario from a fresh initial state, reusing the
-        per-model preparation.
-
-        ``workers > 1`` shards the scenarios over worker processes (see
-        :mod:`repro.sig.engine.parallel`); the traces are identical to the
-        sequential run and come back in scenario order.  Symbolic
-        scenarios ship to the workers as their (tiny) rule programs, never
-        as per-instant lists.
-
-        With *sink_factory* (called with each scenario index, returning the
-        sink or sinks that scenario streams into) nothing is materialised:
-        the returned list holds, per scenario, what the factory's sink
-        produced — ``sink.result()`` for a single sink, the list of results
-        when the factory returned several.  Sink results are shipped back
-        from worker processes and merged in scenario order.
-
-        *length* applies to every scenario of the batch.
-        """
-        record = list(record) if record is not None else None
-        if workers != 1 and len(scenarios) > 1:
-            from .parallel import run_batch_parallel
-
-            traces, _, sink_results, _ = run_batch_parallel(
-                self,
-                scenarios,
-                record=record,
-                workers=workers,
-                collect_errors=False,
-                sink_factory=sink_factory,
-                length=length,
-            )
-            return sink_results if sink_factory is not None else traces  # type: ignore[return-value]
-        if sink_factory is not None:
-            return [
-                run_scenario_into_sinks(self, scenario, record, sink_factory, index, length)
-                for index, scenario in enumerate(scenarios)
-            ]
-        return [self.run(scenario, record=record, length=length) for scenario in scenarios]
-
-
-def run_scenario_into_sinks(
-    runner: "SimulationBackend",
-    scenario: Scenario,
-    record: Optional[List[str]],
-    sink_factory: SinkFactory,
-    index: int,
-    length: Optional[int] = None,
-) -> Any:
-    """Run one batch scenario through fresh factory-made sink(s).
-
-    Shared by the sequential and the multiprocessing batch paths so both
-    produce the exact same per-scenario payload: the single sink's
-    ``result()`` when the factory returns one sink, the list of results when
-    it returns several.
-    """
-    made = sink_factory(index)
-    sink_list = as_sink_list(made)
-    runner.run(scenario, record=record, sinks=sink_list, length=length)
-    results = [sink.result() for sink in sink_list]
-    return results[0] if len(sink_list) == 1 and not isinstance(made, (list, tuple)) else results
 
 
 class ReferenceBackend(SimulationBackend):
@@ -204,29 +137,6 @@ class CompiledBackend(SimulationBackend):
             scenario, record=record, strict=self.strict, sinks=sinks, length=length
         )
 
-    def run_batch(
-        self,
-        scenarios: Sequence[Scenario],
-        record: Optional[Iterable[str]] = None,
-        workers: int = 1,
-        sink_factory: Optional[SinkFactory] = None,
-        length: Optional[int] = None,
-    ) -> List[Any]:
-        """Batched execution over the shared plan (see
-        :meth:`SimulationBackend.run_batch`)."""
-        record = list(record) if record is not None else None
-        if sink_factory is not None or (workers != 1 and len(scenarios) > 1):
-            return super().run_batch(
-                scenarios,
-                record=record,
-                workers=workers,
-                sink_factory=sink_factory,
-                length=length,
-            )
-        return self._plan.run_batch(
-            scenarios, record=record, strict=self.strict, length=length
-        )
-
 
 #: Registry of the available backends, keyed by :attr:`SimulationBackend.name`.
 BACKENDS: Dict[str, Type[SimulationBackend]] = {
@@ -274,5 +184,4 @@ __all__ = [
     "SimulationBackend",
     "backend_names",
     "create_backend",
-    "run_scenario_into_sinks",
 ]

@@ -21,7 +21,7 @@ from ..scenario import Scenario
 from ..simulator import SimulationError, SimulationTrace
 from ..sinks import SinkFactory, presence_summary
 from .backends import DEFAULT_BACKEND, create_backend
-from .parallel import default_worker_count, run_batch_parallel
+from .supervisor import default_worker_count, run_batch_supervised
 
 
 def default_scenario(
@@ -58,12 +58,11 @@ class BatchResult:
     Failed scenarios (under ``collect_errors``) contribute ``None`` in
     either list plus an entry in :attr:`errors`.
 
-    Under supervised execution (any of ``timeout=``, ``retries=``,
-    ``scenario_budget=``, ``max_failures=`` or ``fault_plan=``) scenarios
-    the supervisor could not recover — worker crashes, timeouts, budget
-    violations, unexpected exceptions — appear in :attr:`faults` as
-    structured :class:`~repro.sig.engine.supervisor.ScenarioFault` entries
-    (in scenario order) and contribute ``None`` traces/sink results;
+    Every batch runs supervised: scenarios the supervisor could not
+    recover — worker crashes, timeouts, budget violations, unexpected
+    exceptions — appear in :attr:`faults` as structured
+    :class:`~repro.sig.engine.supervisor.ScenarioFault` entries (in
+    scenario order) and contribute ``None`` traces/sink results;
     :attr:`errors` stays reserved for deterministic
     :class:`~repro.sig.simulator.SimulationError` model errors.
     """
@@ -76,8 +75,8 @@ class BatchResult:
     workers: int = 1
     #: Per-scenario sink products of a streaming batch (empty otherwise).
     sink_results: List[Any] = field(default_factory=list)
-    #: Unrecoverable scenarios of a supervised batch, in scenario order
-    #: (empty on the unsupervised fast path and for fault-free batches).
+    #: Unrecoverable scenarios of the batch, in scenario order (empty for
+    #: fault-free batches).
     faults: List[Any] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -150,9 +149,9 @@ def simulate_batch(
     in :attr:`BatchResult.errors` instead of aborting the whole batch.
 
     ``workers`` shards the scenarios over that many worker processes
-    (``0`` = one per core, see :mod:`repro.sig.engine.parallel`); traces and
-    errors are bit-identical to the sequential ``workers=1`` run, including
-    their ordering.
+    (``0`` = one per core, see :mod:`repro.sig.engine.supervisor`); traces
+    and errors are bit-identical to the in-process ``workers=1`` run,
+    including their ordering.
 
     ``sink_factory`` switches the batch to streaming mode: it is called
     with each scenario index and returns the fresh
@@ -175,18 +174,21 @@ def simulate_batch(
     sweeps of different lengths, and ships to workers as a few bytes of
     rules instead of per-instant lists.
 
-    Setting any of ``timeout`` (wall-clock seconds per scenario attempt),
-    ``retries`` (attempts after the first failure, default 2 when
-    supervised), ``backoff`` (base of the exponential retry delay),
-    ``max_failures`` (batch-wide circuit breaker), ``scenario_budget``
-    (a :class:`~repro.sig.engine.supervisor.ScenarioBudget`, or an ``int``
-    shorthand for its ``max_instants``) or ``fault_plan`` (a
-    :class:`~repro.sig.engine.faults.FaultPlan`, for tests/chaos runs)
-    switches the batch to the supervised executor: crashed or hung workers
-    are detected and replaced, failed attempts retried, and unrecoverable
-    scenarios surface in :attr:`BatchResult.faults` instead of taking the
-    batch down.  Surviving scenarios stay bit-identical to an unsupervised
-    run.
+    Every batch runs through the supervised executor
+    (:func:`~repro.sig.engine.supervisor.run_batch_supervised`): crashed or
+    hung workers are detected and replaced, failed attempts retried, and
+    unrecoverable scenarios surface in :attr:`BatchResult.faults` instead of
+    taking the batch down.  A :class:`~repro.sig.simulator.SimulationError`
+    is a model error, never retried (see ``collect_errors``); any other
+    exception a scenario raises is retried and then reported as a
+    ``ScenarioFault(kind="error")``.  The knobs tune supervision:
+    ``timeout`` (wall-clock seconds per scenario attempt), ``retries``
+    (attempts after the first failure, default 2), ``backoff`` (base of the
+    exponential retry delay), ``max_failures`` (batch-wide circuit
+    breaker), ``scenario_budget`` (a
+    :class:`~repro.sig.engine.supervisor.ScenarioBudget`, or an ``int``
+    shorthand for its ``max_instants``) and ``fault_plan`` (a
+    :class:`~repro.sig.engine.faults.FaultPlan`, for tests/chaos runs).
 
     ``runner`` short-circuits backend preparation with an already prepared
     :class:`~repro.sig.engine.backends.SimulationBackend` — the serving
@@ -207,7 +209,7 @@ def simulate_batch(
     if workers <= 0:
         workers = default_worker_count()
     effective_workers = max(1, min(workers, count))
-    traces, errors, sink_results, faults = run_batch_parallel(
+    traces, errors, sink_results, faults = run_batch_supervised(
         runner,
         scenarios,
         record=record,

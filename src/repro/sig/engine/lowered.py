@@ -21,11 +21,7 @@ numbering cannot be proven to match the plan's — keep their interpreted
 closures, so a codegen gap can only cost speed, never parity.
 
 :class:`LoweredBackend` registers the plan in :data:`BACKENDS` under
-``"lowered"``.  ``numba`` is an **optional, soft dependency**: with
-``jit=True`` each generated function is passed through ``numba.jit``
-(object mode) when numba is importable, and the backend emits a
-:class:`RuntimeWarning` and runs the plain generated Python otherwise — no
-module in :mod:`repro` imports numba unconditionally.
+``"lowered"``.
 
 The vectorized backend (:mod:`repro.sig.engine.vectorized`) reuses
 :func:`lower_plan_evaluators` for its ``lowered_residue`` option, swapping
@@ -56,23 +52,15 @@ from ..expressions import (
     apply_stepwise,
 )
 from ..process import ProcessModel
-from ..scenario import Scenario
-from ..simulator import ClockViolation, SimulationTrace
+from ..simulator import ClockViolation
 from ..values import ABSENT
-from .backends import BACKENDS, CompiledBackend, SinkOrSinks
+from .backends import BACKENDS, CompiledBackend, SimulationBackend
 from .plan import (
     EvalFn,
     ExecutionPlan,
     PURE_OPERATORS,
     TargetPlan,
     _NOWRITE,
-)
-
-#: Message of the :class:`RuntimeWarning` raised when ``jit=True`` is
-#: requested but numba is not importable.
-NUMBA_FALLBACK_MESSAGE = (
-    "numba is not available; the 'lowered' backend runs the generated "
-    "Python evaluators without jit compilation"
 )
 
 #: Message of the :class:`RuntimeWarning` raised when the generator's
@@ -82,27 +70,6 @@ STATE_MISMATCH_MESSAGE = (
     "lowered codegen state-slot numbering does not match the compiled plan; "
     "keeping the interpreted evaluators"
 )
-
-
-def numba_available() -> bool:
-    """Is the optional numba jit importable in this interpreter?"""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def _maybe_jit(fn):
-    """Pass *fn* through ``numba.jit`` (object mode) when possible."""
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - exercised by the no-numba CI leg
-        return fn
-    try:  # pragma: no cover - requires numba
-        return numba.jit(forceobj=True)(fn)
-    except Exception:  # pragma: no cover - requires numba
-        return fn
 
 
 def _as_const(expr: Expression) -> Optional[Const]:
@@ -529,9 +496,7 @@ def lower_expression(
     return fn
 
 
-def lower_plan_evaluators(
-    plan: ExecutionPlan, jit: bool = False
-) -> Dict[str, List[EvalFn]]:
+def lower_plan_evaluators(plan: ExecutionPlan) -> Dict[str, List[EvalFn]]:
     """Generate lowered evaluators for every equation of *plan*.
 
     Returns ``{target_name: [evaluator, ...]}`` in the plan's per-target
@@ -570,7 +535,7 @@ def lower_plan_evaluators(
         if len(fns) != len(target.evaluators):
             continue
         result[target.name] = [
-            (_maybe_jit(fn) if jit else fn) if fn is not None else original
+            fn if fn is not None else original
             for fn, original in zip(fns, target.evaluators)
         ]
     return result
@@ -585,10 +550,9 @@ class LoweredExecutionPlan(ExecutionPlan):
     ``interpreted_targets`` count how the swap went.
     """
 
-    def __init__(self, process: ProcessModel, jit: bool = False) -> None:
+    def __init__(self, process: ProcessModel) -> None:
         super().__init__(process)
-        self.jit = jit
-        lowered_map = lower_plan_evaluators(self, jit=jit)
+        lowered_map = lower_plan_evaluators(self)
         self.lowered_targets = 0
         self.interpreted_targets = 0
         new_work = []
@@ -604,69 +568,28 @@ class LoweredExecutionPlan(ExecutionPlan):
             self.lowered_targets += 1
         self._work = tuple(new_work)
 
-    # A lowered plan travels as its process model plus the jit flag and
-    # regenerates on arrival, like every other plan/backend in the engine.
-    def __getstate__(self) -> Dict[str, Any]:
-        return {"process": self.process, "jit": self.jit}
 
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__init__(state["process"], jit=state.get("jit", False))
-
-
-def compile_lowered(process: ProcessModel, jit: bool = False) -> LoweredExecutionPlan:
+def compile_lowered(process: ProcessModel) -> LoweredExecutionPlan:
     """Compile *process* into a plan with generated flat evaluators."""
-    return LoweredExecutionPlan(process, jit=jit)
+    return LoweredExecutionPlan(process)
 
 
 class LoweredBackend(CompiledBackend):
     """Codegen executor: the compiled plan with generated flat evaluators.
 
-    Construction options (ignored by the other backends): ``jit`` — pass
-    the generated evaluators through ``numba.jit`` (object mode) when numba
-    is importable; without numba the backend warns (``RuntimeWarning``) and
-    runs the plain generated Python, which is still measurably faster than
-    the closure interpreter.  Traces, warnings and errors are bit-identical
-    to the ``compiled``/``reference`` backends by construction.
+    Runs the plain generated Python, which is measurably faster than the
+    closure interpreter on interpreter-dispatch-bound models.  Traces,
+    warnings and errors are bit-identical to the ``compiled``/``reference``
+    backends by construction.
     """
 
     name = "lowered"
 
-    def __init__(
-        self,
-        process: ProcessModel,
-        strict: bool = True,
-        jit: bool = False,
-        **options: Any,
-    ) -> None:
-        SimulationBackendInit = super(CompiledBackend, self)
-        SimulationBackendInit.__init__(process, strict, **options)
-        self.jit = jit
-        if jit and not numba_available():
-            _warnings_module.warn(NUMBA_FALLBACK_MESSAGE, RuntimeWarning, stacklevel=2)
-        self._plan = LoweredExecutionPlan(process, jit=jit)
-
-    def run(
-        self,
-        scenario: Scenario,
-        record=None,
-        sinks: Optional[SinkOrSinks] = None,
-        length: Optional[int] = None,
-    ) -> Optional[SimulationTrace]:
-        """Execute one scenario over the lowered plan (see
-        :meth:`~repro.sig.engine.backends.SimulationBackend.run`)."""
-        return self._plan.run(
-            scenario, record=record, strict=self.strict, sinks=sinks, length=length
-        )
-
-    # Pickling: process + options, regenerate on arrival (the generated
-    # functions themselves cannot travel to spawn-based workers).
-    def __getstate__(self) -> Dict[str, Any]:
-        return {"process": self._plan.process, "strict": self.strict, "jit": self.jit}
-
-    def __setstate__(self, payload: Dict[str, Any]) -> None:
-        self.__init__(
-            payload["process"], strict=payload["strict"], jit=payload["jit"]
-        )
+    def __init__(self, process: ProcessModel, strict: bool = True, **options: Any) -> None:
+        SimulationBackend.__init__(self, process, strict, **options)
+        # Pickles like the compiled backend: the plan travels as its process
+        # model and regenerates the lowered evaluators on arrival.
+        self._plan = LoweredExecutionPlan(process)
 
 
 #: Register in the backend registry (imported by ``repro.sig.engine``).
@@ -676,10 +599,8 @@ BACKENDS[LoweredBackend.name] = LoweredBackend
 __all__ = [
     "LoweredBackend",
     "LoweredExecutionPlan",
-    "NUMBA_FALLBACK_MESSAGE",
     "STATE_MISMATCH_MESSAGE",
     "compile_lowered",
     "lower_expression",
     "lower_plan_evaluators",
-    "numba_available",
 ]

@@ -33,8 +33,8 @@ redoes at every instant:
   whether the instantaneous dependencies are acyclic.
 
 The resulting :class:`ExecutionPlan` is immutable with respect to the model:
-one plan can run many scenarios (see :meth:`ExecutionPlan.run_batch`), which
-is what the batched multi-scenario APIs build on.
+one plan can run many scenarios, which is what the batched multi-scenario
+API (:func:`repro.sig.engine.batch.simulate_batch`) builds on.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ from ..simulator import (
     NonDeterministicDefinition,
     SimulationTrace,
 )
-from ..values import ABSENT, Flow
+from ..sinks import TraceHeader, close_sinks, resolve_sinks
+from ..values import ABSENT
 
 # Status codes of the compiled executor.  They correspond one-to-one to the
 # string statuses of the reference interpreter; integers compare faster.
@@ -575,10 +576,10 @@ class PlanStatistics:
 class ExecutionPlan:
     """A process lowered to slot-indexed, topologically ordered instructions.
 
-    Build one with :func:`compile_plan`; run scenarios with :meth:`run` or
-    :meth:`run_batch`.  A plan holds no mutable per-run state: every run
-    allocates its own status/value/memory arrays, so one plan can be shared
-    freely across scenarios (and, in future PRs, across worker processes).
+    Build one with :func:`compile_plan`; run scenarios with :meth:`run`.
+    A plan holds no mutable per-run state: every run allocates its own
+    status/value/memory arrays, so one plan can be shared freely across
+    scenarios and batch worker processes.
     """
 
     def __init__(self, process: ProcessModel) -> None:
@@ -771,13 +772,11 @@ class ExecutionPlan:
         Semantics (flows, warnings of record, raised errors) match the
         reference interpreter; see :class:`repro.sig.simulator.Simulator`.
 
-        With *sinks* (see :mod:`repro.sig.sinks`) each resolved instant is
-        pushed to every sink instead of being materialised — memory stays
-        O(signals) however long the scenario — and the method returns
-        ``None``; include a :class:`~repro.sig.sinks.MaterializeSink` to
-        also keep the full trace.  Any non-``None`` *sinks* selects the
-        streaming mode: an *empty* list runs the scenario for its effects
-        (errors, warnings) without retaining anything.
+        Each resolved instant is pushed to the *sinks* (see
+        :mod:`repro.sig.sinks`).  Without *sinks* the run drives one
+        :class:`~repro.sig.sinks.MaterializeSink` and returns its trace;
+        with *sinks* it returns ``None`` (an *empty* list runs the scenario
+        for its effects — errors, warnings — only).
 
         *length* overrides the scenario's default horizon (required for
         unbounded scenarios).
@@ -785,13 +784,7 @@ class ExecutionPlan:
         length = scenario.run_length(length)
         recorded = list(record) if record is not None else list(self.process.signals)
         warnings: List[str] = []
-
-        streaming = sinks is not None
-        sink_list: List[Any] = []
-        if streaming:
-            from ..sinks import TraceHeader, as_sink_list, close_sinks
-
-            sink_list = as_sink_list(sinks)
+        sink_list, materialize = resolve_sinks(sinks)
 
         declared = self.process.signals
         driven, driven_slots, scenario_only = self._bind_scenario(scenario)
@@ -802,9 +795,7 @@ class ExecutionPlan:
         # Scenario-driven undeclared targets are not resolved (scenario wins).
         base_work = [item for item in self._work if item[0] not in driven_slots]
 
-        record_lists, record_plan = self._build_record_plan(
-            recorded, streaming, scenario_only
-        )
+        read_row = self._row_reader(self._build_record_plan(recorded, scenario_only))
 
         state = [list(template) for template in self._state_init]
         varmem = list(self._nowrite_template)
@@ -813,18 +804,17 @@ class ExecutionPlan:
         finish_instant = self._finish_instant
 
         try:
-            if streaming:
-                # Inside the guarded region: a sink raising in on_header must
-                # not leave earlier sinks' file handles open.
-                header = TraceHeader(
-                    process_name=self.process.name,
-                    length=length,
-                    signals=tuple(recorded),
-                    types={name: decl.type for name, decl in declared.items()},
-                    warnings=warnings,
-                )
-                for sink in sink_list:
-                    sink.on_header(header)
+            # Inside the guarded region: a sink raising in on_header must
+            # not leave earlier sinks' file handles open.
+            header = TraceHeader(
+                process_name=self.process.name,
+                length=length,
+                signals=tuple(recorded),
+                types={name: decl.type for name, decl in declared.items()},
+                warnings=warnings,
+            )
+            for sink in sink_list:
+                sink.on_header(header)
             from .supervisor import current_guard
 
             guard = current_guard()
@@ -844,59 +834,16 @@ class ExecutionPlan:
                 )
                 finish_instant(st, vals, state, varmem, strict)
 
-                if streaming:
-                    if sink_list:
-                        row = tuple(
-                            vals[slot]
-                            if slot is not None
-                            else (fallback(instant) if fallback is not None else ABSENT)
-                            for _, slot, fallback in record_plan
-                        )
-                        statuses = tuple(value is not ABSENT for value in row)
-                        for sink in sink_list:
-                            sink.on_instant(instant, statuses, row)
-                else:
-                    for out, slot, fallback in record_plan:
-                        if slot is not None:
-                            out.append(vals[slot])
-                        elif fallback is not None:
-                            out.append(fallback(instant))
-                        else:
-                            out.append(ABSENT)
+                if sink_list:
+                    row = read_row(instant, vals)
+                    statuses = tuple([value is not ABSENT for value in row])
+                    for sink in sink_list:
+                        sink.on_instant(instant, statuses, row)
         finally:
             # Sinks close whatever happens, so file-backed sinks flush even
             # when the run aborts on a simulation error.
-            if streaming:
-                close_sinks(sink_list)
-
-        if streaming:
-            return None
-        flows = {name: Flow(name, values) for name, values in record_lists.items()}
-        return SimulationTrace(
-            process_name=self.process.name,
-            length=length,
-            flows=flows,
-            warnings=warnings,
-        )
-
-    def run_batch(
-        self,
-        scenarios: Sequence[Scenario],
-        record: Optional[Iterable[str]] = None,
-        strict: bool = True,
-        length: Optional[int] = None,
-    ) -> List[SimulationTrace]:
-        """Run every scenario through this (already compiled) plan.
-
-        Delay/cell/shared-variable memories are reset between scenarios, so
-        each trace is what a fresh simulator would produce.  *length*
-        applies to every scenario (required when they are unbounded).
-        """
-        record = list(record) if record is not None else None
-        return [
-            self.run(scenario, record=record, strict=strict, length=length)
-            for scenario in scenarios
-        ]
+            close_sinks(sink_list)
+        return materialize.trace if materialize is not None else None
 
     def _bind_scenario(
         self, scenario: Scenario
@@ -936,34 +883,38 @@ class ExecutionPlan:
     def _build_record_plan(
         self,
         recorded: List[str],
-        streaming: bool,
         scenario_only: Dict[str, InputRule],
-    ) -> Tuple[
-        Dict[str, List[Any]],
-        List[Tuple[Optional[List[Any]], Optional[int], Optional[Sampler]]],
-    ]:
-        """Per-recorded-name output plan: ``(out list, slot, fallback sampler)``.
+    ) -> List[Tuple[Optional[int], Optional[Sampler]]]:
+        """Per-recorded-name source: ``(slot, fallback sampler)``.
 
-        Recorded names that are neither slots nor scenario rules stay ⊥;
-        they record into plain lists wrapped as flows at the end.  A name
-        listed twice shares one list and is appended twice per instant,
-        exactly as the reference interpreter's shared Flow behaves.  When
-        streaming, no lists are kept at all: each instant's row is handed
-        to the sinks and dropped.  Shared by :meth:`run` and the vectorized
-        executor.
+        A recorded name without a slot reads its scenario rule's sampler,
+        and stays ⊥ when it has neither.  Shared by :meth:`run` and the
+        vectorized executor.
         """
-        record_lists: Dict[str, List[Any]] = {}
-        record_plan: List[
-            Tuple[Optional[List[Any]], Optional[int], Optional[Sampler]]
-        ] = []
+        record_plan: List[Tuple[Optional[int], Optional[Sampler]]] = []
         for name in recorded:
-            out = None if streaming else record_lists.setdefault(name, [])
             slot = self.slot_of.get(name)
             fallback_rule = scenario_only.get(name) if slot is None else None
             record_plan.append(
-                (out, slot, fallback_rule.sampler() if fallback_rule is not None else None)
+                (slot, fallback_rule.sampler() if fallback_rule is not None else None)
             )
-        return record_lists, record_plan
+        return record_plan
+
+    @staticmethod
+    def _row_reader(
+        record_plan: List[Tuple[Optional[int], Optional[Sampler]]]
+    ) -> Callable[[int, List[Any]], Tuple[Any, ...]]:
+        """``(instant, vals) -> row``: the recorded values of one instant."""
+
+        def read(instant: int, vals: List[Any]) -> Tuple[Any, ...]:
+            return tuple([
+                vals[slot]
+                if slot is not None
+                else (fallback(instant) if fallback is not None else ABSENT)
+                for slot, fallback in record_plan
+            ])
+
+        return read
 
     def _finish_instant(self, st, vals, state, varmem, strict) -> None:
         """Advance the delay/cell memories and the shared-variable

@@ -1,12 +1,32 @@
-"""Supervised, fault-tolerant batch execution.
+"""Supervised, fault-tolerant batch execution: the engine's one batch executor.
 
-The plain pool of :mod:`repro.sig.engine.parallel` is fire-and-forget: a
-worker that segfaults, is OOM-killed or spins forever in a user operation
-stalls or poisons the whole batch with no diagnosis, no retry and no
-partial results.  This module is the execution substrate the serving layer
-and fleet-scale sweeps stand on instead: every dispatched chunk of
-scenarios runs under **per-task supervision**, and the batch degrades
-gracefully instead of dying with the worst worker.
+An :class:`~repro.sig.engine.plan.ExecutionPlan` is immutable once compiled
+and every scenario of a batch starts from a fresh initial state, so a
+many-scenario sweep is embarrassingly parallel.  A worker that segfaults,
+is OOM-killed or spins forever in a user operation must not stall or
+poison the whole batch, though: every dispatched chunk of scenarios runs
+under **per-task supervision**, and the batch degrades gracefully instead
+of dying with the worst worker.  :func:`~repro.sig.engine.batch.simulate_batch`,
+the serving layer and fleet-scale sweeps all run their batches here; a
+batch that sets no supervision knob simply runs with the defaults below.
+
+Sharding
+--------
+
+* **fork inheritance where available** — on Linux the workers inherit the
+  prepared backend (compiled plan included) from the parent's address
+  space: nothing is recompiled;
+* **plan pickling otherwise** — with ``spawn`` the backend is pickled to
+  each worker once, at start-up; a plan pickles as its process model and
+  recompiles itself on arrival, and a symbolic scenario crosses the
+  process boundary as its rule program, a few bytes whatever the horizon;
+* **chunked scheduling** — scenarios are dealt out in contiguous chunks
+  (several per worker, so stragglers rebalance);
+* **ordered reassembly** — results are filed by scenario index, so traces,
+  sink results and collected errors keep the order of a sequential run;
+* **streaming** — with a ``sink_factory`` each worker builds the
+  scenario's sinks locally, streams the run into them and ships back only
+  ``sink.result()``.
 
 Supervision model
 -----------------
@@ -35,9 +55,10 @@ Supervision model
   failure: once the batch has seen more than ``max_failures`` failed
   attempts, retrying stops and every undecided scenario faults fast;
 * scenarios that raise a :class:`~repro.sig.simulator.SimulationError`
-  are *model* errors, not infrastructure faults: they keep the exact
-  error channel and semantics of the unsupervised batch and are never
-  retried (they are deterministic);
+  are *model* errors, not infrastructure faults: they are never retried
+  (they are deterministic); with ``collect_errors`` they contribute
+  ``None`` plus an ``(index, error)`` entry in ascending index order, and
+  without it the error of the *earliest* failing scenario is raised;
 * surviving scenarios return **bit-identical, ordered** results — the
   supervisor only changes what happens to the failing ones.
 
@@ -69,6 +90,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import multiprocessing
+import os
 import sys
 import time
 import traceback as traceback_module
@@ -79,10 +102,10 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..scenario import Scenario
 from ..simulator import SimulationError, SimulationTrace
-from ..sinks import SinkFactory
+from ..sinks import SinkFactory, as_sink_list
 from .faults import FaultPlan, FaultSpec, InjectedCrash, fire_fault
 
-#: Default retry count when supervision is on and the caller did not choose.
+#: Retry count of a batch whose caller does not choose one.
 DEFAULT_RETRIES = 2
 
 #: Default base of the exponential retry backoff, in seconds.
@@ -96,6 +119,32 @@ _GUARD_STRIDE = 64
 #: reaped before giving up on ``join`` (the process is already dead or
 #: SIGKILLed; this only bounds OS cleanup).
 _REAP_SECONDS = 5.0
+
+
+def default_worker_count() -> int:
+    """Worker count used for ``workers=0``: one per *available* core.
+
+    Respects the CPU affinity mask (``os.sched_getaffinity``) where the
+    platform has one, so containerized/cgroup-restricted environments get
+    the cores they may actually run on instead of the machine's raw
+    ``cpu_count()`` — oversubscribing a 2-core CI container with 64
+    workers is strictly slower.
+    """
+    try:
+        affinity = os.sched_getaffinity(0)
+    except (AttributeError, OSError):  # non-Linux, or exotic scheduler
+        return os.cpu_count() or 1
+    return len(affinity) or os.cpu_count() or 1
+
+
+def _pool_context() -> multiprocessing.context.BaseContext:
+    # Prefer fork only where it is the platform default anyway (Linux):
+    # macOS advertises "fork" but made spawn the default because forking a
+    # process with Objective-C/threading state is unsafe.  Elsewhere the
+    # platform default (spawn) is used and the backend travels by pickling.
+    if sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 class ScenarioTimeout(Exception):
@@ -254,7 +303,7 @@ def guarded(
     """Install a cooperative :class:`ExecutionGuard` around one scenario run.
 
     With neither a timeout nor a budget no guard is installed at all, so
-    unsupervised runs keep paying nothing.  Guards nest (the previous one
+    unguarded runs keep paying nothing.  Guards nest (the previous one
     is restored on exit), though supervised execution never needs to.
     """
     global _ACTIVE_GUARD
@@ -317,14 +366,19 @@ def _run_one(
     sink_factory: Optional[SinkFactory],
     length: Optional[int],
 ) -> Any:
-    """One scenario's payload: its trace, or its sink result(s)."""
-    if sink_factory is not None:
-        from .backends import run_scenario_into_sinks
+    """One scenario's payload: its trace, or its sink result(s).
 
-        return run_scenario_into_sinks(
-            runner, scenarios[index], record, sink_factory, index, length
-        )
-    return runner.run(scenarios[index], record=record, length=length)
+    With a *sink_factory* the payload is the single sink's ``result()``
+    when the factory returns one sink, the list of results when it returns
+    several.
+    """
+    if sink_factory is None:
+        return runner.run(scenarios[index], record=record, length=length)
+    made = sink_factory(index)
+    sink_list = as_sink_list(made)
+    runner.run(scenarios[index], record=record, sinks=sink_list, length=length)
+    results = [sink.result() for sink in sink_list]
+    return results[0] if len(sink_list) == 1 and not isinstance(made, (list, tuple)) else results
 
 
 def _worker_main(
@@ -487,7 +541,7 @@ def run_batch_supervised(
     length: Optional[int] = None,
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
-    backoff: float = DEFAULT_BACKOFF,
+    backoff: Optional[float] = None,
     max_failures: Optional[int] = None,
     scenario_budget: Optional["ScenarioBudget | int"] = None,
     fault_plan: Optional[FaultPlan] = None,
@@ -499,31 +553,36 @@ def run_batch_supervised(
 ]:
     """Run *scenarios* through *runner* under per-task supervision.
 
-    Same contents, ordering and error semantics as
-    :func:`repro.sig.engine.parallel.run_batch_parallel`, plus a fourth
-    returned list of :class:`ScenarioFault` (in scenario order) for the
-    scenarios supervision could not recover; faulted scenarios contribute
-    ``None`` traces/sink results exactly like collected errors.  Without
-    ``collect_errors`` the earliest scenario's
-    :class:`~repro.sig.simulator.SimulationError` is raised once the batch
-    settles (infrastructure faults never raise — surviving partial results
+    *runner* is a prepared :class:`~repro.sig.engine.backends.SimulationBackend`
+    (its ``strict`` flag travels with it).  Returns ``(traces, errors,
+    sink_results, faults)``, each in scenario order.  Without
+    *sink_factory*, ``traces`` holds the materialised traces and
+    ``sink_results`` is empty; with it, ``traces`` holds ``None`` per
+    scenario and ``sink_results`` what each scenario's sink(s) produced.
+    ``faults`` lists a :class:`ScenarioFault` per scenario supervision
+    could not recover; faulted scenarios contribute ``None`` traces/sink
+    results exactly like collected errors.  Without ``collect_errors`` the
+    earliest scenario's :class:`~repro.sig.simulator.SimulationError` is
+    raised (infrastructure faults never raise — surviving partial results
     are the point of supervision).
 
     *timeout* bounds each attempt's wall clock (externally by killing the
     silent worker, cooperatively via :class:`ExecutionGuard` inside it),
     *scenario_budget* bounds instants/memory (an ``int`` is shorthand for
     ``ScenarioBudget(max_instants=...)``), failed attempts retry up to
-    *retries* times with ``backoff * 2**attempt`` delays, and more than
-    *max_failures* failed attempts across the batch trip the circuit
-    breaker: everything still undecided faults fast as kind ``"error"``.
-    *fault_plan* injects deterministic faults (tests, chaos CI, E17).
+    *retries* times (default :data:`DEFAULT_RETRIES`) with
+    ``backoff * 2**attempt`` delays (default :data:`DEFAULT_BACKOFF`), and
+    more than *max_failures* failed attempts across the batch trip the
+    circuit breaker: everything still undecided faults fast as kind
+    ``"error"``.  *fault_plan* injects deterministic faults (tests, chaos
+    CI, E17).  ``workers=0`` means one worker per available core.
     """
-    from .parallel import _pool_context, default_worker_count
-
     record = list(record) if record is not None else None
     count = len(scenarios)
     if retries is None:
         retries = DEFAULT_RETRIES
+    if backoff is None:
+        backoff = DEFAULT_BACKOFF
     scenario_budget = ScenarioBudget.coerce(scenario_budget)
     if workers <= 0:
         workers = default_worker_count()
@@ -918,6 +977,7 @@ __all__ = [
     "ScenarioFault",
     "ScenarioTimeout",
     "current_guard",
+    "default_worker_count",
     "guarded",
     "run_batch_supervised",
 ]

@@ -51,10 +51,14 @@ violation inside a vectorised expression, a bare-constant definition, any
 warning or simulation error raised by the residual sweep — rewinds the
 block to its entry state and replays it through the pure per-instant sweep,
 which reproduces warnings, errors and partial sink output in exact
-reference order.  Sinks see instants one by one either way
-(:meth:`~repro.sig.sinks.TraceSink.on_instant` is replayed per instant
-after a block validates), so every :class:`~repro.sig.sinks.TraceSink`
-works unchanged.
+reference order.  A replayed block reaches the sinks instant by instant.
+A block that validates reaches a run's *only* sink in one
+:meth:`~repro.sig.sinks.TraceSink.on_block` call with a column per
+recorded name when that sink overrides ``on_block`` (the materialising
+sink extends its flows column-wise); every other run gets the block
+instant by instant, so each sink sees instant *t* before any sink sees
+*t + 1* and a sink that aborts the run leaves the same partial output as
+on the compiled backend.
 
 ``numpy`` is a **soft dependency**: when it is not importable the
 :class:`VectorizedBackend` degrades to the compiled plan executor with a
@@ -66,7 +70,7 @@ from __future__ import annotations
 
 import warnings as _warnings_module
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 try:  # soft dependency: the whole backend degrades gracefully without it
     import numpy as _np
@@ -92,7 +96,8 @@ from ..expressions import (
 from ..process import ProcessModel
 from ..scenario import Scenario
 from ..simulator import SimulationTrace
-from ..values import ABSENT, Flow, SignalKind
+from ..sinks import TraceHeader, TraceSink, close_sinks, resolve_sinks
+from ..values import ABSENT, SignalKind
 from .backends import BACKENDS, SimulationBackend, SinkOrSinks
 from .plan import (
     CONST,
@@ -958,11 +963,12 @@ class VectorExecutionPlan:
     Build one with :func:`compile_vectorized`.  :meth:`run` executes a
     scenario in instant blocks: numpy kernels fill the vectorisable columns
     of the block, the residual equations run through the plan's ordinary
-    per-instant sweep, and the finished block is delivered to the recorder
-    or the sinks instant by instant.  Any warning or error anywhere in a
-    block rewinds it and replays it through the pure per-instant sweep, so
-    traces, warnings and errors are bit-identical to the compiled backend
-    by construction.
+    per-instant sweep, and the finished block is delivered to the sinks
+    (in one :meth:`~repro.sig.sinks.TraceSink.on_block` call when the run
+    drives a single sink that overrides it).  Any warning
+    or error anywhere in a block rewinds it and replays it through the
+    pure per-instant sweep, so traces, warnings and errors are
+    bit-identical to the compiled backend by construction.
     """
 
     def __init__(
@@ -1433,13 +1439,7 @@ class VectorExecutionPlan:
         length = scenario.run_length(length)
         recorded = list(record) if record is not None else list(plan.process.signals)
         warnings: List[str] = []
-
-        streaming = sinks is not None
-        sink_list: List[Any] = []
-        if streaming:
-            from ..sinks import TraceHeader, as_sink_list, close_sinks
-
-            sink_list = as_sink_list(sinks)
+        sink_list, materialize = resolve_sinks(sinks)
 
         declared = plan.process.signals
         bound, driven_slots, scenario_only = plan._bind_scenario(scenario)
@@ -1463,54 +1463,40 @@ class VectorExecutionPlan:
                 for cluster in clusters
             ]
 
-        record_lists, record_plan = plan._build_record_plan(
-            recorded, streaming, scenario_only
+        record_plan = plan._build_record_plan(recorded, scenario_only)
+        read_row = plan._row_reader(record_plan)
+        # Columns only go to a lone sink that consumes them as columns: with
+        # several sinks, block delivery would hand the earlier ones instants
+        # past one at which a later sink aborts the run.
+        block_sink = (
+            sink_list[0]
+            if record_plan
+            and len(sink_list) == 1
+            and type(sink_list[0]).on_block is not TraceSink.on_block
+            else None
         )
 
         def deliver(instant: int, vals: List[Any]) -> None:
-            """Hand one finished instant to the recorder or the sinks."""
-            if streaming:
-                if sink_list:
-                    row = tuple(
-                        vals[slot]
-                        if slot is not None
-                        else (fallback(instant) if fallback is not None else ABSENT)
-                        for _, slot, fallback in record_plan
-                    )
-                    statuses = tuple(value is not ABSENT for value in row)
-                    for sink in sink_list:
-                        sink.on_instant(instant, statuses, row)
-            else:
-                for out, slot, fallback in record_plan:
-                    if slot is not None:
-                        out.append(vals[slot])
-                    elif fallback is not None:
-                        out.append(fallback(instant))
-                    else:
-                        out.append(ABSENT)
+            """Hand one finished instant of a replayed block to the sinks."""
+            if sink_list:
+                row = read_row(instant, vals)
+                statuses = tuple([value is not ABSENT for value in row])
+                for sink in sink_list:
+                    sink.on_instant(instant, statuses, row)
 
         state = [list(template) for template in plan._state_init]
         varmem = list(plan._nowrite_template)
         block_size = self.block_size
         try:
-            if streaming:
-                header = TraceHeader(
-                    process_name=plan.process.name,
-                    length=length,
-                    signals=tuple(recorded),
-                    types={name: decl.type for name, decl in declared.items()},
-                    warnings=warnings,
-                )
-                for sink in sink_list:
-                    sink.on_header(header)
-            # Fast column-wise recording is safe when every recorded name is
-            # a distinct slot (duplicate names interleave their appends per
-            # instant, which only the per-instant path reproduces).
-            fast_record = (
-                not streaming
-                and len(set(recorded)) == len(recorded)
-                and all(slot is not None for _, slot, _ in record_plan)
+            header = TraceHeader(
+                process_name=plan.process.name,
+                length=length,
+                signals=tuple(recorded),
+                types={name: decl.type for name, decl in declared.items()},
+                warnings=warnings,
             )
+            for sink in sink_list:
+                sink.on_header(header)
             from .supervisor import current_guard
 
             guard = current_guard()
@@ -1533,27 +1519,34 @@ class VectorExecutionPlan:
                     deliver,
                 )
                 if val_rows is not None:
-                    if fast_record:
-                        columns = list(zip(*val_rows))
-                        for out, slot, _ in record_plan:
-                            out.extend(columns[slot])
+                    if block_sink is not None:
+                        block_sink.on_block(
+                            start,
+                            self._record_columns(record_plan, val_rows, start, size),
+                        )
                     else:
                         for i in range(size):
                             deliver(start + i, val_rows[i])
                 start += size
         finally:
-            if streaming:
-                close_sinks(sink_list)
+            close_sinks(sink_list)
+        return materialize.trace if materialize is not None else None
 
-        if streaming:
-            return None
-        flows = {name: Flow(name, values) for name, values in record_lists.items()}
-        return SimulationTrace(
-            process_name=plan.process.name,
-            length=length,
-            flows=flows,
-            warnings=warnings,
-        )
+    @staticmethod
+    def _record_columns(record_plan, val_rows, start, size) -> List[Sequence[Any]]:
+        """One column of values per recorded name for a vector-executed
+        block (scenario-only names sample their rule, unknown names are ⊥)."""
+        by_slot = list(zip(*val_rows))
+        return [
+            by_slot[slot]
+            if slot is not None
+            else (
+                [fallback(start + i) for i in range(size)]
+                if fallback is not None
+                else (ABSENT,) * size
+            )
+            for slot, fallback in record_plan
+        ]
 
     # ------------------------------------------------------------------
     def _run_block(

@@ -187,18 +187,22 @@ class Simulator:
 
         When *record* is ``None``, every declared signal is recorded.
 
-        With *sinks* (see :mod:`repro.sig.sinks`) each resolved instant is
-        pushed to every sink and then discarded — memory stays O(signals)
-        instead of O(signals × instants) — and the method returns ``None``;
-        include a :class:`~repro.sig.sinks.MaterializeSink` to also keep the
-        full trace.  Any non-``None`` *sinks* selects the streaming mode:
-        an *empty* list runs the scenario for its effects (errors, warnings)
-        without retaining anything.
+        Each resolved instant is pushed to the *sinks* (see
+        :mod:`repro.sig.sinks`) and then discarded, so memory stays
+        O(signals) unless a sink keeps more.  Without *sinks* the run
+        drives one :class:`~repro.sig.sinks.MaterializeSink` and returns
+        its trace; with *sinks* it returns ``None`` (an *empty* list runs
+        the scenario for its effects — errors, warnings — only).
 
         *length* overrides the scenario's default horizon (and is required
         when the scenario is unbounded, see
         :meth:`repro.sig.scenario.Scenario.run_length`).
         """
+        # Imported lazily: repro.sig.sinks and the engine package import
+        # this module.
+        from .engine.supervisor import current_guard
+        from .sinks import TraceHeader, close_sinks, resolve_sinks
+
         self.reset()
         length = scenario.run_length(length)
         recorded = list(record) if record is not None else list(self.process.signals)
@@ -207,56 +211,34 @@ class Simulator:
         # rules are evaluated lazily, O(1) memory per signal whatever the
         # horizon.
         samplers = {name: rule.sampler() for name, rule in scenario.inputs.items()}
-        # Imported lazily: the engine package imports this module.
-        from .engine.supervisor import current_guard
-
         guard = current_guard()
         guard_check = guard.check if guard is not None else None
 
-        if sinks is not None:
-            # Imported lazily: repro.sig.sinks imports this module.
-            from .sinks import TraceHeader, as_sink_list, close_sinks
-
-            sink_list = as_sink_list(sinks)
-            try:
-                # on_header sits inside the guarded region: a sink raising
-                # here must not leave earlier sinks' file handles open.
-                header = TraceHeader(
-                    process_name=self.process.name,
-                    length=length,
-                    signals=tuple(recorded),
-                    types={name: decl.type for name, decl in self.process.signals.items()},
-                    warnings=warnings,
-                )
-                for sink in sink_list:
-                    sink.on_header(header)
-                for instant in range(length):
-                    if guard_check is not None:
-                        guard_check(instant)
-                    env = self._step(instant, samplers, warnings)
-                    if sink_list:
-                        values = tuple(env.get(name, ABSENT) for name in recorded)
-                        statuses = tuple(value is not ABSENT for value in values)
-                        for sink in sink_list:
-                            sink.on_instant(instant, statuses, values)
-            finally:
-                close_sinks(sink_list)
-            return None
-
-        flows = {name: Flow(name) for name in recorded}
-        for instant in range(length):
-            if guard_check is not None:
-                guard_check(instant)
-            env = self._step(instant, samplers, warnings)
-            for name in recorded:
-                flows[name].append(env.get(name, ABSENT))
-
-        return SimulationTrace(
-            process_name=self.process.name,
-            length=length,
-            flows=flows,
-            warnings=warnings,
-        )
+        sink_list, materialize = resolve_sinks(sinks)
+        try:
+            # on_header sits inside the guarded region: a sink raising here
+            # must not leave earlier sinks' file handles open.
+            header = TraceHeader(
+                process_name=self.process.name,
+                length=length,
+                signals=tuple(recorded),
+                types={name: decl.type for name, decl in self.process.signals.items()},
+                warnings=warnings,
+            )
+            for sink in sink_list:
+                sink.on_header(header)
+            for instant in range(length):
+                if guard_check is not None:
+                    guard_check(instant)
+                env = self._step(instant, samplers, warnings)
+                if sink_list:
+                    values = tuple([env.get(name, ABSENT) for name in recorded])
+                    statuses = tuple([value is not ABSENT for value in values])
+                    for sink in sink_list:
+                        sink.on_instant(instant, statuses, values)
+        finally:
+            close_sinks(sink_list)
+        return materialize.trace if materialize is not None else None
 
     # ------------------------------------------------------------------
     # one instant

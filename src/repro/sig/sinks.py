@@ -1,16 +1,15 @@
-"""Streaming trace sinks: observe a simulation instant by instant.
+"""Trace sinks: observe a simulation instant by instant.
 
-The legacy simulation API materialises every recorded flow into a
-:class:`~repro.sig.simulator.SimulationTrace`, which makes memory grow as
-O(signals × instants) — fine for a few hyper-periods, prohibitive for the
-million-instant runs the scalability experiments call for.  A
-:class:`TraceSink` inverts the flow of data: the engine *pushes* each
-resolved instant into one or more sinks and discards it, so a run's memory
-stays O(signals) however long the scenario is.
+Every engine delivers its trace through sinks.  A :class:`TraceSink`
+receives each resolved instant as the engine *pushes* it, so a run that
+only aggregates keeps O(signals) memory however long the scenario is.  A
+run without ``sinks=`` is a run into one :class:`MaterializeSink`, which
+keeps the whole :class:`~repro.sig.simulator.SimulationTrace`.
 
-The protocol is three calls, driven by both backends
-(:class:`~repro.sig.simulator.Simulator` and
-:class:`~repro.sig.engine.plan.ExecutionPlan`):
+The protocol is four calls, driven by every backend
+(:class:`~repro.sig.simulator.Simulator`,
+:class:`~repro.sig.engine.plan.ExecutionPlan` and the vectorized
+:class:`~repro.sig.engine.vectorized.VectorExecutionPlan`):
 
 1. :meth:`TraceSink.on_header` — once per run, before the first instant,
    with a :class:`TraceHeader` describing the run (process name, scenario
@@ -18,15 +17,20 @@ The protocol is three calls, driven by both backends
 2. :meth:`TraceSink.on_instant` — once per instant, with the instant index,
    a tuple of presence booleans and a tuple of values (one entry per
    recorded name, ``ABSENT`` where the signal does not occur);
-3. :meth:`TraceSink.on_close` — once per run, after the last instant (also
+3. :meth:`TraceSink.on_block` — instead of ``on_instant``, once per block
+   of consecutive instants the vectorized executor resolved at once, with
+   one column of values per recorded name, when the sink is the run's only
+   sink and overrides this method; the default replays the block through
+   ``on_instant`` row by row;
+4. :meth:`TraceSink.on_close` — once per run, after the last instant (also
    on abnormal termination, so file-backed sinks always flush).
 
 Five sinks ship with the kernel:
 
-* :class:`MaterializeSink` — rebuilds the legacy
-  :class:`~repro.sig.simulator.SimulationTrace`, bit-identical to the
-  non-streaming path (the catalog-wide parity tests enforce this); use it
-  when a run should stream *and* keep the full trace;
+* :class:`MaterializeSink` — builds the
+  :class:`~repro.sig.simulator.SimulationTrace` a run without ``sinks=``
+  returns; pass it explicitly when a run should stream into other sinks
+  *and* keep the full trace;
 * :class:`StatisticsSink` — constant-memory per-signal aggregates
   (present/absent counts, numeric min/max, first/last occurrence), the
   natural sink for long-horizon runs;
@@ -61,16 +65,16 @@ class TraceHeader:
     """Everything a sink may want to know about a run before it starts.
 
     ``signals`` preserves the record order *including duplicates*: a name
-    listed twice is delivered twice per instant, exactly as the legacy
-    recording path appends twice into one shared flow.  ``warnings`` is the
+    listed twice is delivered twice per instant, and :class:`MaterializeSink`
+    appends both occurrences into one shared flow.  ``warnings`` is the
     *live* list the running backend appends to; sinks that snapshot it must
     copy it in :meth:`TraceSink.on_close`, when it is complete.
     """
 
     #: Name of the (flattened) process being simulated.
     process_name: str
-    #: Scenario length in instants (the number of ``on_instant`` calls of a
-    #: run that completes normally).
+    #: Scenario length in instants (the number of instants a run that
+    #: completes normally delivers, one by one or in blocks).
     length: int
     #: Recorded signal names, in record order, duplicates preserved.
     signals: Tuple[str, ...]
@@ -108,6 +112,20 @@ class TraceSink:
         """Called once per instant with per-recorded-signal presence/values."""
         raise NotImplementedError
 
+    def on_block(self, start: int, columns: Sequence[Sequence[Any]]) -> None:
+        """Called for a block of instants starting at *start*, with one
+        column of values per recorded name (in header order).
+
+        The default replays the block through :meth:`on_instant`, so a sink
+        only overrides this to consume whole columns at once.  The
+        vectorized executor calls an override only when the sink is the
+        run's single sink; alongside other sinks, every sink gets each
+        instant through :meth:`on_instant`, in instant order.
+        """
+        for offset, values in enumerate(zip(*columns)):
+            statuses = tuple([value is not ABSENT for value in values])
+            self.on_instant(start + offset, statuses, values)
+
     def on_close(self) -> None:
         """Called once per run after the last instant (even on failure)."""
 
@@ -133,6 +151,21 @@ def as_sink_list(sinks: Optional[SinkOrSinks]) -> List[TraceSink]:
     return list(sinks)
 
 
+def resolve_sinks(
+    sinks: Optional[SinkOrSinks],
+) -> Tuple[List[TraceSink], Optional["MaterializeSink"]]:
+    """The sink list of one run, plus the sink whose trace the run returns.
+
+    ``None`` means "return the trace": the run drives one fresh
+    :class:`MaterializeSink`.  Anything else (an empty list included) is
+    driven as given and the run returns ``None``.
+    """
+    if sinks is None:
+        materialize = MaterializeSink()
+        return [materialize], materialize
+    return as_sink_list(sinks), None
+
+
 def close_sinks(sinks: Sequence[TraceSink]) -> None:
     """Close every sink, even when one of them raises on close.
 
@@ -153,28 +186,30 @@ def close_sinks(sinks: Sequence[TraceSink]) -> None:
 
 
 class MaterializeSink(TraceSink):
-    """Rebuild the legacy :class:`~repro.sig.simulator.SimulationTrace`.
+    """Build the full :class:`~repro.sig.simulator.SimulationTrace` of a run.
 
-    The produced trace is bit-identical to what the non-streaming path
-    returns (flows, shared duplicate-name flows, warnings), which is
-    enforced across the whole case-study catalog by
-    ``tests/integration/test_sink_parity.py``.  Use it to stream into other
-    sinks *and* keep the full trace, or as the oracle when validating a new
-    sink.
+    Every backend's ``run()`` without ``sinks=`` returns this sink's trace
+    (flows, shared duplicate-name flows, warnings); the catalog-wide parity
+    tests (``tests/integration/test_sink_parity.py``) pin that the trace is
+    the same whether its instants arrive one by one or in blocks.  Pass it
+    explicitly to stream into other sinks *and* keep the full trace, or use
+    it as the oracle when validating a new sink.
     """
 
     def __init__(self) -> None:
         self.trace: Optional[SimulationTrace] = None
         self._lists: Dict[str, List[Any]] = {}
         self._plan: List[List[Any]] = []
+        self._distinct = True
         self._instants_seen = 0
 
     def on_header(self, header: TraceHeader) -> None:
         super().on_header(header)
         # Duplicate names share one list and are appended once per
-        # occurrence, mirroring the legacy shared-Flow behaviour.
+        # occurrence, so one flow interleaves both occurrences.
         self._lists = {}
         self._plan = [self._lists.setdefault(name, []) for name in header.signals]
+        self._distinct = len(self._lists) == len(self._plan)
         self._instants_seen = 0
 
     def on_instant(
@@ -183,6 +218,17 @@ class MaterializeSink(TraceSink):
         for out, value in zip(self._plan, values):
             out.append(value)
         self._instants_seen = instant + 1
+
+    def on_block(self, start: int, columns: Sequence[Sequence[Any]]) -> None:
+        if not self._distinct:
+            # A shared duplicate-name flow interleaves per instant, which
+            # only the row-by-row replay reproduces.
+            super().on_block(start, columns)
+            return
+        for out, column in zip(self._plan, columns):
+            out.extend(column)
+        if columns:
+            self._instants_seen = start + len(columns[0])
 
     def on_close(self) -> None:
         if self.header is None:
@@ -405,7 +451,7 @@ class StatisticsSink(TraceSink):
         super().on_header(header)
         self._stats = {}
         # A duplicated record name observes twice per instant, matching the
-        # double-append of the legacy shared flow.
+        # double-append of MaterializeSink's shared flow.
         self._plan = [
             self._stats.setdefault(name, SignalStatistics(name)) for name in header.signals
         ]
@@ -742,4 +788,5 @@ __all__ = [
     "close_sinks",
     "presence_summary",
     "replay_trace",
+    "resolve_sinks",
 ]

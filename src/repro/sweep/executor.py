@@ -23,9 +23,9 @@ of the sweep in memory:
    O(partition_size + signals), flat in the number of scenarios — the E20
    gate measures exactly this.
 
-Supervision is PR 7's, unchanged: any knob (``timeout=``, ``retries=``,
-``scenario_budget=``, ``fault_plan=``...) routes each partition through the
-supervised executor; unrecoverable scenarios surface as
+Each partition runs through the supervised executor, tuned by the same
+knobs (``timeout=``, ``retries=``, ``scenario_budget=``, ``fault_plan=``...);
+unrecoverable scenarios surface as
 :class:`~repro.sig.engine.supervisor.ScenarioFault` rows in the
 ``scenarios`` table — **re-keyed to the global scenario id** (supervisor
 faults are batch-local) — and survivors are unaffected.  A caller-supplied

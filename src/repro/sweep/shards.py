@@ -53,7 +53,7 @@ from ..sig.sinks import DeltaLog, SignalStatistics, TraceStatistics
 from ..sig.values import ABSENT
 
 #: Message explaining the optional parquet dependency (mirrors the numpy /
-#: numba / serve soft-dependency contracts).
+#: serve soft-dependency contracts).
 PYARROW_FALLBACK_MESSAGE = (
     "pyarrow is not available; sweep shards fall back to the pure-stdlib "
     "jsonl format (install the 'sweep' extra, e.g. pip install "

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.casestudies import PRODUCER_CONSUMER_AADL
+from repro.casestudies import PRODUCER_CONSUMER_AADL, catalog_names
 from repro.cli import build_parser, main
 
 
@@ -163,3 +163,26 @@ class TestCommands:
         path.write_text("package Empty\npublic\n  data d\n  end d;\nend Empty;\n")
         with pytest.raises(SystemExit):
             main(["schedule", str(path)])
+
+
+class TestModelArgument:
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_every_catalog_name_resolves(self, name, tmp_path, capsys):
+        """``repro casestudy --list`` names work wherever a model path does,
+        with the catalog entry's root when ``--root`` is absent."""
+        output = str(tmp_path / "sig")
+        code = main(["translate", name, "--no-scheduler", "--no-cache", "-o", output])
+        assert code == 0
+        assert "traceability links" in capsys.readouterr().out
+        assert any(entry.endswith(".sig") for entry in os.listdir(output))
+
+    @pytest.mark.parametrize("command", ["analyse", "schedule", "translate", "simulate"])
+    def test_missing_model_file_is_a_clean_usage_error(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "absent.aadl")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, missing])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err

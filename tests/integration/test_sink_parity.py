@@ -17,8 +17,18 @@ import pytest
 from repro.casestudies import catalog_names, load_case_study, scenario_sweep
 from repro.core import ToolchainOptions, TranslationConfig, run_toolchain
 from repro.scheduling.static_scheduler import SchedulingError
-from repro.sig.engine import CompiledBackend, ReferenceBackend, simulate_batch
-from repro.sig.sinks import MaterializeSink, StatisticsSink, batch_statistics_summary
+from repro.sig.engine import (
+    CompiledBackend,
+    ReferenceBackend,
+    VectorizedBackend,
+    simulate_batch,
+)
+from repro.sig.sinks import (
+    MaterializeSink,
+    StatisticsSink,
+    TraceSink,
+    batch_statistics_summary,
+)
 from repro.sig.engine.batch import batch_flow_summary
 
 
@@ -145,3 +155,96 @@ def test_statistics_summary_matches_flow_summary_on_case_study(translated):
         assert batch_statistics_summary(streamed.sink_results, signal) == expected
         checked += 1
     assert checked > 0
+
+
+class _RowByRowMaterializeSink(MaterializeSink):
+    """A MaterializeSink fed through the protocol's default ``on_block``,
+    which replays every block instant by instant through ``on_instant``."""
+
+    on_block = TraceSink.on_block
+
+
+#: A recorded name the model does not declare, driven only by the scenario.
+_SCENARIO_ONLY = "scenario_only_probe"
+
+
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("duplicate", [False, True], ids=["distinct", "duplicated"])
+def test_block_materialize_matches_row_by_row_replay_on_vectorized(
+    name, duplicate, translated
+):
+    """The vectorized backend hands each validated block to a lone
+    MaterializeSink as columns; the sink extends its flows column-wise (or
+    replays per instant when a recorded name repeats) and must rebuild the
+    exact trace the row-by-row replay and the compiled backend produce,
+    including a recorded scenario-only name."""
+    result = translated(name)
+    system_model = result.translation.system_model
+    scenarios = scenario_sweep(
+        system_model, length=_scenario_length(result, cap=40), variants=2, seed=37
+    )
+    declared = list(system_model.signals)
+    record = declared + [_SCENARIO_ONLY]
+    if duplicate:
+        record = [declared[0]] + record + [declared[-1]]
+
+    vectorized = VectorizedBackend(system_model, strict=False, block_size=7)
+    compiled = CompiledBackend(system_model, strict=False)
+    for index, scenario in enumerate(scenarios):
+        scenario.set_periodic(_SCENARIO_ONLY, 3, phase=1, value=index + 5)
+        context = f"{name}, scenario {index}, record duplicates={duplicate}"
+        blocks = MaterializeSink()
+        rows = _RowByRowMaterializeSink()
+        assert vectorized.run(scenario, record=record, sinks=blocks) is None
+        assert vectorized.run(scenario, record=record, sinks=rows) is None
+        oracle = compiled.run(scenario, record=record)
+        _assert_bit_identical(blocks.trace, rows.trace, context)
+        _assert_bit_identical(blocks.trace, oracle, context)
+        _assert_bit_identical(vectorized.run(scenario, record=record), oracle, context)
+        for signal, flow in oracle.flows.items():
+            assert [type(v) for v in blocks.trace.flows[signal].values] == [
+                type(v) for v in flow.values
+            ], f"{context}: value types of {signal!r} diverge"
+        assert blocks.trace.flows[_SCENARIO_ONLY] == oracle.flows[_SCENARIO_ONLY]
+    if vectorized.vector_plan is not None:
+        assert vectorized.vector_plan.vector_blocks > 0, name
+
+
+class _Abort(Exception):
+    pass
+
+
+class _AbortAtSink(TraceSink):
+    """Stops the run by raising when it receives instant *at*."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def on_instant(self, instant, statuses, values):
+        if instant == self.at:
+            raise _Abort(instant)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_aborting_sink_leaves_same_partial_trace_on_vectorized(name, translated):
+    """A sink that aborts the run inside a vector-executed block leaves the
+    MaterializeSink before it with the same partial trace as on the
+    compiled backend: with several sinks, every sink sees instant t before
+    any sink sees t + 1."""
+    result = translated(name)
+    system_model = result.translation.system_model
+    length = max(_scenario_length(result, cap=40), 20)
+    (scenario,) = scenario_sweep(system_model, length=length, variants=1, seed=41)
+    abort_at = 10  # inside the second block of 7 instants
+
+    partial = {}
+    for backend in (
+        CompiledBackend(system_model, strict=False),
+        VectorizedBackend(system_model, strict=False, block_size=7),
+    ):
+        materialize = MaterializeSink()
+        with pytest.raises(_Abort):
+            backend.run(scenario, sinks=[materialize, _AbortAtSink(abort_at)])
+        assert materialize.trace.length == abort_at + 1, (name, backend.name)
+        partial[backend.name] = materialize.trace
+    _assert_bit_identical(partial["vectorized"], partial["compiled"], name)

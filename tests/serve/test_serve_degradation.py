@@ -4,8 +4,8 @@
 must import and work on a bare install; only ``create_app`` / ``repro
 serve`` require the HTTP stack, and when it is missing they must fail
 with one clear actionable message (``SERVE_FALLBACK_MESSAGE``) instead of
-a bare ImportError — mirroring the numpy/vectorized and numba/lowered
-degradation contracts.
+a bare ImportError — mirroring the numpy/vectorized degradation
+contract.
 """
 
 from __future__ import annotations

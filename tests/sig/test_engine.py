@@ -455,8 +455,10 @@ class TestBatch:
         model = counter_model()
         scenarios = [Scenario(2).set_always("tick"), Scenario(2).set_always("tick")]
         for factory in (ReferenceBackend, CompiledBackend):
-            traces = factory(model.copy()).run_batch(scenarios, record=iter(["count"]))
-            assert [trace.signals() for trace in traces] == [["count"], ["count"]]
+            batch = simulate_batch(
+                model, scenarios, record=iter(["count"]), runner=factory(model.copy())
+            )
+            assert [trace.signals() for trace in batch.traces] == [["count"], ["count"]]
 
     def test_batch_reference_backend(self):
         model = counter_model()

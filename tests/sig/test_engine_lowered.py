@@ -2,9 +2,8 @@
 
 Catalog-wide parity lives in ``tests/integration/test_lowered_parity.py``;
 this module exercises the machinery directly: per-equation source
-generation, fold/identity behaviour, the state-slot consistency guard, the
-numba soft gate, pickling and the ``lowered_residue`` option of the
-vectorized backend.
+generation, fold/identity behaviour, the state-slot consistency guard,
+pickling and the ``lowered_residue`` option of the vectorized backend.
 """
 
 import pickle
@@ -21,7 +20,6 @@ from repro.sig.engine import (
     compile_lowered,
     create_backend,
     lower_plan_evaluators,
-    numba_available,
     numpy_available,
     simulate,
 )
@@ -200,29 +198,11 @@ def test_state_mismatch_degrades_to_interpreter(monkeypatch):
     _assert_identical(reference, plan.run(scenario, strict=False))
 
 
-def test_numba_gate():
-    model = _rich_model()
-    if numba_available():
-        backend = LoweredBackend(model, strict=False, jit=True)
-    else:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            backend = LoweredBackend(model, strict=False, jit=True)
-        assert any(
-            lowered_module.NUMBA_FALLBACK_MESSAGE in str(w.message)
-            for w in caught
-        )
-    scenario = _scenario()
-    reference = CompiledBackend(model, strict=False).run(scenario)
-    _assert_identical(reference, backend.run(scenario))
-
-
 def test_pickle_roundtrip():
     backend = LoweredBackend(_rich_model(), strict=False)
     clone = pickle.loads(pickle.dumps(backend))
     scenario = _scenario()
     _assert_identical(backend.run(scenario), clone.run(scenario))
-    assert clone.jit is backend.jit
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")

@@ -2,8 +2,10 @@
 
 The contract of ``simulate_batch(workers=N)`` is bit-identity with the
 sequential run: same traces, same warnings, same errors, same ordering.
-These tests pin that contract on a scheduled case-study model, and cover the
-plan-pickling path the spawn-based worker pools rely on.
+These tests pin that contract on a scheduled case-study model, for batches
+with and without supervision knobs (every batch runs through the one
+supervised executor), and cover the plan-pickling path the spawn-based
+workers rely on.
 """
 
 import pickle
@@ -15,6 +17,7 @@ from repro.core import TranslationConfig, translate_system
 from repro.sig import builder as b
 from repro.sig.engine import (
     BatchResult,
+    ScenarioFault,
     batch_flow_summary,
     compile_plan,
     create_backend,
@@ -23,6 +26,7 @@ from repro.sig.engine import (
 )
 from repro.sig.process import ProcessModel
 from repro.sig.simulator import ClockViolation, InstantaneousCycle, Scenario, SimulationError
+from repro.sig.sinks import MaterializeSink
 from repro.sig.values import INTEGER
 
 
@@ -153,13 +157,128 @@ class TestWorkersParity:
         assert batch.workers >= 1
         assert len(batch.traces) == 2
 
-    def test_backend_run_batch_workers(self, scheduled):
+    def test_prepared_runner_batch_workers(self, scheduled):
         system_model, length = scheduled
         scenarios = scenario_sweep(system_model, length=min(length, 24), variants=6, seed=11)
         runner = create_backend(system_model, strict=False)
-        sequential = runner.run_batch(scenarios)
-        sharded = runner.run_batch(scenarios, workers=2)
+        sequential = simulate_batch(system_model, scenarios, runner=runner).traces
+        sharded = simulate_batch(system_model, scenarios, workers=2, runner=runner).traces
         assert [flows_of(t) for t in sharded] == [flows_of(t) for t in sequential]
+
+
+def _materialize_factory(index):
+    return MaterializeSink()
+
+
+def _sync_pair_model():
+    model = ProcessModel("sync_pair")
+    model.input("a", INTEGER)
+    model.input("b", INTEGER)
+    model.output("s", INTEGER)
+    model.define("s", b.func("+", b.ref("a"), b.ref("b")))
+    return model
+
+
+def _sync_pair_scenarios(count, failing):
+    scenarios = []
+    for index in range(count):
+        scenario = Scenario(6)
+        scenario.set_always("a", index)
+        if index in failing:
+            scenario.set_periodic("b", 3, value=2)  # a ^= b violated
+        else:
+            scenario.set_always("b", 2)
+        scenarios.append(scenario)
+    return scenarios
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestBatchesWithoutKnobs:
+    """A batch that sets no supervision knob runs through the supervised
+    executor with its defaults, in process at ``workers=1`` and on the
+    supervised pool at ``workers=2``."""
+
+    def test_materialised_traces_match_per_scenario_runs(self, scheduled, workers):
+        system_model, length = scheduled
+        scenarios = scenario_sweep(system_model, length=min(length, 24), variants=5, seed=13)
+        runner = create_backend(system_model, strict=False)
+        expected = [runner.run(scenario) for scenario in scenarios]
+        batch = simulate_batch(system_model, scenarios, workers=workers, runner=runner)
+        assert batch.ok and batch.workers == workers
+        assert [(flows_of(t), t.length, t.warnings) for t in batch.traces] == [
+            (flows_of(t), t.length, t.warnings) for t in expected
+        ]
+        assert batch.sink_results == []
+
+    def test_sink_factory_results_match_per_scenario_runs(self, scheduled, workers):
+        system_model, length = scheduled
+        scenarios = scenario_sweep(system_model, length=min(length, 24), variants=5, seed=17)
+        runner = create_backend(system_model, strict=False)
+        expected = [runner.run(scenario) for scenario in scenarios]
+        batch = simulate_batch(
+            system_model, scenarios, workers=workers, runner=runner,
+            sink_factory=_materialize_factory,
+        )
+        assert batch.ok and batch.traces == [None] * len(scenarios)
+        assert [(flows_of(t), t.length, t.warnings) for t in batch.sink_results] == [
+            (flows_of(t), t.length, t.warnings) for t in expected
+        ]
+
+    @pytest.mark.parametrize("factory", [None, _materialize_factory])
+    def test_earliest_error_is_raised_without_collect(self, workers, factory):
+        model = _sync_pair_model()
+        scenarios = _sync_pair_scenarios(8, failing={3, 5})
+        runner = create_backend(model, strict=True)
+        with pytest.raises(SimulationError) as per_scenario:
+            for scenario in scenarios:
+                runner.run(scenario)
+        with pytest.raises(SimulationError) as batched:
+            simulate_batch(
+                model, scenarios, workers=workers, runner=runner, sink_factory=factory
+            )
+        assert type(batched.value) is type(per_scenario.value)
+        assert str(batched.value) == str(per_scenario.value)
+
+    @pytest.mark.parametrize("factory", [None, _materialize_factory])
+    def test_collected_errors_keep_index_order(self, workers, factory):
+        model = _sync_pair_model()
+        scenarios = _sync_pair_scenarios(8, failing={3, 5})
+        batch = simulate_batch(
+            model, scenarios, workers=workers, collect_errors=True, sink_factory=factory
+        )
+        assert [index for index, _ in batch.errors] == [3, 5]
+        assert not batch.faults
+        products = batch.sink_results if factory is not None else batch.traces
+        assert [product is None for product in products] == [
+            index in (3, 5) for index in range(8)
+        ]
+
+    def test_other_exceptions_become_error_faults(self, workers):
+        """An exception that is not a SimulationError does not propagate
+        out of a batch without knobs: after the default retries it is
+        reported as a ``kind="error"`` fault, and the other scenarios
+        still succeed.  The model uses core operators only, so spawned
+        workers rebuild it without any test-registered operation."""
+        model = ProcessModel("poisoned")
+        model.input("x", INTEGER)
+        model.output("y", INTEGER)
+        model.define("y", b.func("/", b.const(12), b.ref("x")))
+        scenarios = []
+        for index in range(4):
+            scenario = Scenario(5)
+            scenario.set_always("x", 0 if index == 2 else index + 1)
+            scenarios.append(scenario)
+        batch = simulate_batch(model, scenarios, workers=workers)
+        assert not batch.errors
+        assert [fault.scenario for fault in batch.faults] == [2]
+        fault = batch.faults[0]
+        assert isinstance(fault, ScenarioFault)
+        assert fault.kind == "error"
+        assert fault.attempts == 3  # the first attempt plus two default retries
+        assert "ZeroDivisionError" in fault.message
+        assert batch.traces[2] is None
+        for index in (0, 1, 3):
+            assert batch.traces[index].present_values("y") == [12 // (index + 1)] * 5
 
 
 class TestBatchFlowSummary:

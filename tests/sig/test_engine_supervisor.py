@@ -9,7 +9,6 @@ fault-injection harness, on both the pooled and the in-process degraded
 paths.
 """
 
-import multiprocessing
 import os
 import sys
 import time
@@ -26,7 +25,6 @@ from repro.sig.engine import (
     simulate_batch,
 )
 from repro.sig.engine.faults import CRASH_EXIT_CODE, fire_fault
-from repro.sig.engine.parallel import _shutdown_pool
 from repro.sig.engine.supervisor import (
     BudgetExceeded,
     ExecutionGuard,
@@ -421,13 +419,3 @@ class TestSatellites:
     def test_default_worker_count_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert default_worker_count() == (os.cpu_count() or 1)
-
-    @fork_only
-    def test_shutdown_pool_does_not_wedge_on_busy_workers(self):
-        ctx = multiprocessing.get_context("fork")
-        pool = ctx.Pool(processes=1)
-        pool.apply_async(time.sleep, (60.0,))
-        time.sleep(0.2)
-        started = time.monotonic()
-        _shutdown_pool(pool)
-        assert time.monotonic() - started < 15.0

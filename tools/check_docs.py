@@ -44,7 +44,6 @@ DOCUMENTED_MODULES = [
     "repro.sig.engine.batch",
     "repro.sig.engine.faults",
     "repro.sig.engine.lowered",
-    "repro.sig.engine.parallel",
     "repro.sig.engine.plan",
     "repro.sig.engine.supervisor",
     "repro.sig.engine.vectorized",
