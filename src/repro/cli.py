@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List, NoReturn, Optional, Tuple
 
+from .aadl.errors import AadlError
 from .aadl.model import AadlModel, ComponentCategory
 from .aadl.parser import parse_file
 from .casestudies import CATALOG, catalog_names, load_case_study
 from .core import ToolchainOptions, TranslationConfig, run_toolchain
-from .scheduling import SchedulingPolicy, export_affine_clocks
+from .scheduling import SchedulingError, SchedulingPolicy, export_affine_clocks
 from .sig.engine import (
     DEFAULT_BACKEND,
     DEFAULT_BLOCK_SIZE,
@@ -111,13 +112,20 @@ class _AlarmSink(TraceSink):
         return self.fired
 
 
+def _usage_error(message: str) -> NoReturn:
+    """A user error: one ``error:`` line on stderr, exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load_model(path: str) -> Tuple[AadlModel, Optional[str], Optional[str]]:
     """``(model, catalog root, catalog package)`` of a model argument.
 
     A bundled case-study name (``repro casestudy --list``) loads that
     catalog entry, whose root implementation and package become the
     defaults; anything else is an ``.aadl`` path.  A path that cannot be
-    read is a user error: one ``error:`` line on stderr, exit code 2.
+    read or parsed is a user error: one ``error:`` line on stderr, exit
+    code 2.
     """
     if path in catalog_names():
         entry = load_case_study(path)
@@ -125,8 +133,9 @@ def _load_model(path: str) -> Tuple[AadlModel, Optional[str], Optional[str]]:
     try:
         return parse_file(path), None, None
     except OSError as exc:
-        print(f"error: cannot read model {path!r}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"cannot read model {path!r}: {exc.strerror or exc}")
+    except AadlError as exc:
+        _usage_error(str(exc))
 
 
 def _default_root(model: AadlModel) -> Optional[str]:
@@ -162,7 +171,11 @@ def _toolchain(
     model, catalog_root, catalog_package = _load_model(args.model)
     root = args.root or catalog_root or _default_root(model)
     if root is None:
-        raise SystemExit("error: no system implementation found; pass --root explicitly")
+        _usage_error("no system implementation found; pass --root explicitly")
+    try:
+        policy = SchedulingPolicy.from_name(getattr(args, "policy", "RM"))
+    except ValueError as exc:
+        _usage_error(str(exc))
     backend_options = {}
     if getattr(args, "block_size", None):
         backend_options["block_size"] = args.block_size
@@ -171,7 +184,7 @@ def _toolchain(
         default_package=catalog_package or next(iter(model.packages), None),
         translation=TranslationConfig(
             include_scheduler=not getattr(args, "no_scheduler", False),
-            scheduling_policy=SchedulingPolicy.from_name(getattr(args, "policy", "RM")),
+            scheduling_policy=policy,
         ),
         simulate_hyperperiods=getattr(args, "hyperperiods", 2) if simulate else 0,
         strict_validation=not getattr(args, "lenient", False),
@@ -188,7 +201,12 @@ def _toolchain(
         # --no-cache keeps a single run self-contained.
         store=not getattr(args, "no_cache", False),
     )
-    return run_toolchain(model, options)
+    try:
+        return run_toolchain(model, options)
+    except SchedulingError as exc:
+        _usage_error(f"no static schedule: {exc} (try another --policy, or --no-scheduler)")
+    except AadlError as exc:
+        _usage_error(str(exc))
 
 
 # ----------------------------------------------------------------------
@@ -266,8 +284,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.no_trace and args.vcd:
-        raise SystemExit(
-            "error: --vcd renders the materialised trace, which --no-trace disables; "
+        _usage_error(
+            "--vcd renders the materialised trace, which --no-trace disables; "
             "use --stream-vcd to write the waveform while simulating"
         )
     # Streaming sinks observe the simulation instant by instant; with

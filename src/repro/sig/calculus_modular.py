@@ -25,10 +25,14 @@ exploits that structure:
    :meth:`~repro.sig.process.ProcessModel.flatten` performs), and the
    composite system is resolved with the dependency-directed strategy of
    :func:`~repro.sig.clock_calculus.solve_constraint_system`;
-4. **fallback** — when composition cannot discharge the system cheaply (a
-   cyclic clock cluster makes the directed expansion order-dependent, or a
-   non-injective binding merges two subprocess signals), the affected part
-   falls back to the flat solver's exact code path, so results stay sound.
+4. **fallback** — when composition cannot discharge the system cheaply,
+   the affected part takes an exact path, so results stay identical.  A
+   cyclic clock cluster makes the directed expansion order-dependent: the
+   system is then resolved by an exact worklist replay of the flat solver's
+   pairwise fixpoint (same substitutions, same order, only the candidate
+   pairs visited).  The flat solver keeps the verbatim pairwise loop as the
+   oracle and the E10 baseline.  A non-injective binding that merges two
+   subprocess signals re-extracts that instance from its renamed equations.
 
 The outcome is *identical* — same synchronisation classes, clock hierarchy,
 endochrony verdicts, reports — to running the flat solver on the flattened
@@ -307,7 +311,8 @@ class ModularClockCalculus:
     its memoised local extraction, renamed into the global namespace.  The
     composed system is then solved by the shared
     :func:`~repro.sig.clock_calculus.solve_constraint_system` with the
-    dependency-directed resolution (iterative fallback on cyclic clusters).
+    dependency-directed resolution (on cyclic clusters, the exact worklist
+    replay of the iterative fixpoint).
     """
 
     def __init__(self, process: ProcessModel, cache: Optional[ExtractionCache] = None) -> None:

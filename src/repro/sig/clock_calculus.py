@@ -26,7 +26,7 @@ plays in the paper where remaining constraints are reported to the user.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .clocks import Clock, ClockAtom, false_clock, signal_clock, true_clock
 from .expressions import (
@@ -93,8 +93,9 @@ class ClockCalculusResult:
     #: How the clock system was resolved: ``"iterative"`` (the flat solver's
     #: pairwise fixpoint), ``"directed"`` (dependency-directed expansion) or
     #: ``"iterative-fallback"`` (a cyclic clock cluster forced the directed
-    #: resolution back to the iterative fixpoint).  Purely informative: all
-    #: strategies produce the same classes, hierarchy and verdicts.
+    #: resolution back to the iterative fixpoint, replayed exactly by a
+    #: worklist).  Purely informative: all strategies produce the same
+    #: classes, hierarchy and verdicts.
     resolution: str = "iterative"
 
     def same_analysis(self, other: "ClockCalculusResult") -> bool:
@@ -403,6 +404,63 @@ def _resolve_iterative(defined_clocks: Dict[str, Clock], rep_count: int) -> Dict
     return resolved
 
 
+def _resolve_worklist(defined_clocks: Dict[str, Clock], rep_count: int) -> Dict[str, Clock]:
+    """An exact replay of :func:`_resolve_iterative` that skips the pairs the
+    reference skips without looking at them.
+
+    The reference tests every other representative against the live
+    ``base_signals()`` of the clock being resolved.  Here each representative
+    visits, in the same insertion order, only the representatives that occur
+    in its current clock past a cursor, and recomputes those candidates only
+    when a substitution changed the clock.  ``substitute_signal`` is called
+    for exactly the same ``(rep, other)`` pairs in the same order, rounds and
+    rep order are unchanged, so the resolved dict (key order included) is
+    identical.  ``base_signals`` is memoised per clock object for the length
+    of the call.
+    """
+    resolved: Dict[str, Clock] = dict(defined_clocks)
+    reps = list(resolved)
+    position = {rep: i for i, rep in enumerate(reps)}
+    memo: Dict[int, Tuple[Clock, FrozenSet[str]]] = {}
+
+    def base_signals(clock: Clock) -> FrozenSet[str]:
+        entry = memo.get(id(clock))
+        if entry is None:
+            # The entry holds the clock so its id cannot be reused.
+            entry = memo[id(clock)] = (clock, clock.base_signals())
+        return entry[1]
+
+    def after(clock: Clock, cursor: int) -> List[int]:
+        found = (position.get(name) for name in base_signals(clock))
+        return sorted(p for p in found if p is not None and p > cursor)
+
+    for _ in range(rep_count + 1):
+        changed = False
+        for i, rep in enumerate(reps):
+            clock = new_clock = resolved[rep]
+            pending = after(new_clock, -1)
+            k = 0
+            while k < len(pending):
+                j = pending[k]
+                k += 1
+                if j == i:
+                    continue
+                other = reps[j]
+                other_clock = resolved[other]
+                if rep in base_signals(other_clock):
+                    continue
+                candidate = new_clock.substitute_signal(other, other_clock)
+                if candidate != new_clock:
+                    new_clock = candidate
+                    pending, k = after(new_clock, j), 0
+            if new_clock != clock:
+                resolved[rep] = new_clock
+                changed = True
+        if not changed:
+            break
+    return resolved
+
+
 def _strongly_connected_components(deps: Dict[str, Set[str]]) -> List[List[str]]:
     """Tarjan's SCC (iterative), emitting components dependencies-first."""
     index: Dict[str, int] = {}
@@ -464,8 +522,9 @@ def _resolve_directed(defined_clocks: Dict[str, Clock]) -> Optional[Dict[str, Cl
 
     Cyclic clock clusters (mutually recursive clock definitions) make the
     iterative trajectory order-dependent; there this function gives up and
-    returns ``None`` so the caller can fall back to the reference loop and
-    stay bit-identical with the flat solver.
+    returns ``None`` so the caller can fall back to :func:`_resolve_worklist`,
+    the exact replay of the reference loop, and stay bit-identical with the
+    flat solver.
     """
     deps: Dict[str, Set[str]] = {}
     for rep, clock in defined_clocks.items():
@@ -501,28 +560,15 @@ def _resolve_directed(defined_clocks: Dict[str, Clock]) -> Optional[Dict[str, Cl
     return expanded
 
 
-def solve_constraint_system(
-    process_name: str,
-    signals: Mapping[str, SignalDecl],
-    extracted: _ExtractedConstraints,
-    resolution: str = "iterative",
-) -> ClockCalculusResult:
-    """Solve an extracted clock-constraint system and build the result.
+def _defined_clocks(
+    signals: Mapping[str, SignalDecl], extracted: _ExtractedConstraints
+) -> Tuple[_UnionFind, Dict[str, Clock]]:
+    """Synchronisation classes by union-find, and the clock each defined
+    class representative is given, stated over representatives only.
 
-    This is the composition half of the clock calculus, shared by the flat
-    solver (:class:`ClockCalculus`) and the modular solver
-    (:mod:`repro.sig.calculus_modular`): synchronisation classes by
-    union-find, clock resolution, hierarchy construction, verdicts.
-
-    ``resolution`` is ``"iterative"`` (the original pairwise fixpoint) or
-    ``"directed"`` (dependency-directed expansion, falling back to the
-    iterative loop when a cyclic clock cluster makes the trajectory
-    order-dependent).  Both produce identical results; ``"directed"`` is
-    asymptotically faster on large systems.
+    The returned dict, in its insertion order, is the system the resolvers
+    take as input.
     """
-    if resolution not in ("iterative", "directed"):
-        raise ValueError(f"unknown resolution strategy {resolution!r}")
-
     uf = _UnionFind()
     for decl in signals:
         uf.add(decl)
@@ -553,20 +599,48 @@ def solve_constraint_system(
             defined_clocks[rep] = defined_clocks[rep].union(combined)
         else:
             defined_clocks[rep] = combined
+    return uf, defined_clocks
+
+
+def solve_constraint_system(
+    process_name: str,
+    signals: Mapping[str, SignalDecl],
+    extracted: _ExtractedConstraints,
+    resolution: str = "iterative",
+) -> ClockCalculusResult:
+    """Solve an extracted clock-constraint system and build the result.
+
+    This is the composition half of the clock calculus, shared by the flat
+    solver (:class:`ClockCalculus`) and the modular solver
+    (:mod:`repro.sig.calculus_modular`): synchronisation classes by
+    union-find, clock resolution, hierarchy construction, verdicts.
+
+    ``resolution`` is ``"iterative"`` (the original pairwise fixpoint, kept
+    verbatim as the oracle) or ``"directed"`` (dependency-directed expansion;
+    when a cyclic clock cluster makes the trajectory order-dependent it falls
+    back to :func:`_resolve_worklist`, an exact replay of the pairwise loop).
+    Both produce identical results; ``"directed"`` is asymptotically faster
+    on large systems.
+    """
+    if resolution not in ("iterative", "directed"):
+        raise ValueError(f"unknown resolution strategy {resolution!r}")
+
+    uf, defined_clocks = _defined_clocks(signals, extracted)
+    classes_map = uf.classes()
 
     # Substitute defined representatives inside the clock expressions until a
     # fixpoint, either by the original pairwise loop or by the
-    # dependency-directed expansion (identical results, see the resolvers).
+    # dependency-directed expansion, whose cyclic-cluster fallback replays the
+    # pairwise loop exactly (identical results, see the resolvers).
     applied_resolution = resolution
-    resolved: Optional[Dict[str, Clock]] = None
-    if resolution == "directed":
+    if resolution == "iterative":
+        resolved = _resolve_iterative(defined_clocks, len(classes_map))
+    else:
         resolved = _resolve_directed(defined_clocks)
         if resolved is None:
             applied_resolution = "iterative-fallback"
-    if resolved is None:
-        resolved = _resolve_iterative(defined_clocks, len(uf.classes()))
+            resolved = _resolve_worklist(defined_clocks, len(classes_map))
 
-    classes_map = uf.classes()
     classes: List[SynchronisationClass] = []
     clock_of: Dict[str, Clock] = {}
     null_signals: List[str] = []

@@ -18,6 +18,9 @@ redoes at every instant:
   at compile time;
 * static clock tests (``when`` over a constant, ``^`` of a constant) are
   **precomputed** into constant-presence closures;
+* the bare signal operand of ``x $``, ``^x``, ``e when ^x``,
+  ``e default x`` and ``x ^+ y`` is **read inline** from the status/value
+  slots instead of through a closure call;
 * delay and cell memories are allocated **integer state slots** instead of
   path-keyed dictionary entries, and the post-instant memory commit is
   compiled down to the equations that actually own memory (the reference
@@ -27,10 +30,13 @@ redoes at every instant:
   propagation after each sweep — the exact same fixed-point trajectory, so
   traces, warnings and errors are bit-identical by construction (resolution
   order interacts observably with ``^=`` constraint propagation, which is
-  why a reordering "optimisation" is not semantics-preserving).  The static
-  dependency graph (:mod:`repro.sig.scheduler_graph`, the same graph the
-  paper uses for code generation) is analysed at compile time to record
-  whether the instantaneous dependencies are acyclic.
+  why a reordering "optimisation" is not semantics-preserving).  A ``^=``
+  group whose members are all present or all absent can no longer change
+  or warn, so (when every target is declared) it drops out of the rest of
+  the instant's propagation.  The static dependency graph
+  (:mod:`repro.sig.scheduler_graph`, the same graph the paper uses for code
+  generation) is analysed at compile time to record whether the
+  instantaneous dependencies are acyclic.
 
 The resulting :class:`ExecutionPlan` is immutable with respect to the model:
 one plan can run many scenarios, which is what the batched multi-scenario
@@ -292,6 +298,32 @@ class _Compiler:
         init = expr.init
         depth = max(1, expr.depth)
         k = self.state_slot([init] * depth)
+        shift = depth > 1
+
+        if isinstance(expr.operand, SignalRef):
+            # ``x $ k``: the operand's status and value are read inline.
+            s = self.slot(expr.operand.name)
+
+            def ev_ref(st, vals, state, varmem, instant, warnings, strict, _s=s, _k=k, _init=init):
+                code = st[_s]
+                if code == UNKNOWN:
+                    return UNKNOWN, ABSENT
+                if code == _ABSENT_ST:
+                    return _ABSENT_ST, ABSENT
+                if code == CONST:
+                    return CONST, _init
+                return PRESENT, state[_k][0]
+
+            def commit_ref(st, vals, state, varmem, strict, _s=s, _k=k):
+                if st[_s] == PRESENT:
+                    buffer = state[_k]
+                    if shift:
+                        buffer.pop(0)
+                        buffer.append(vals[_s])
+                    else:
+                        buffer[0] = vals[_s]
+
+            return ev_ref, commit_ref
 
         def ev(st, vals, state, varmem, instant, warnings, strict, _k=k, _init=init):
             code, _ = operand_ev(st, vals, state, varmem, instant, warnings, strict)
@@ -304,8 +336,6 @@ class _Compiler:
             # Present, or presumed present through a clock constraint: the
             # delay only needs the *presence* of its operand at this instant.
             return PRESENT, state[_k][0]
-
-        shift = depth > 1
 
         def commit(st, vals, state, varmem, strict, _k=k):
             # Read the operand with the *old* nested state before recursing,
@@ -325,7 +355,28 @@ class _Compiler:
 
     def _compile_when(self, expr: When) -> Tuple[EvalFn, Optional[CommitFn]]:
         operand_ev, operand_commit = self.compile(expr.operand)
-        cond_ev, cond_commit = self.compile(expr.condition)
+        cond = expr.condition
+        if isinstance(cond, ClockOf) and isinstance(cond.operand, SignalRef):
+            # ``e when ^y``: the condition is the presence of ``y``, tested
+            # inline; ``^y`` owns no memory.
+            c = self.slot(cond.operand.name)
+
+            def ev_clock(st, vals, state, varmem, instant, warnings, strict, _c=c):
+                cond_code = st[_c]
+                if cond_code == UNKNOWN:
+                    return UNKNOWN, ABSENT
+                if not (cond_code == PRESENT or cond_code == PRESUMED):
+                    return _ABSENT_ST, ABSENT
+                op_code, op_val = operand_ev(st, vals, state, varmem, instant, warnings, strict)
+                if op_code == UNKNOWN or op_code == PRESUMED:
+                    return op_code, ABSENT
+                if op_code == _ABSENT_ST:
+                    return _ABSENT_ST, ABSENT
+                return PRESENT, op_val
+
+            return ev_clock, operand_commit
+
+        cond_ev, cond_commit = self.compile(cond)
 
         def ev(st, vals, state, varmem, instant, warnings, strict):
             cond_code, cond_val = cond_ev(st, vals, state, varmem, instant, warnings, strict)
@@ -372,6 +423,33 @@ class _Compiler:
 
     def _compile_default(self, expr: Default) -> Tuple[EvalFn, Optional[CommitFn]]:
         left_ev, left_commit = self.compile(expr.left)
+        if isinstance(expr.right, SignalRef):
+            # ``e default x``: the status and value of ``x`` are read inline.
+            r = self.slot(expr.right.name)
+
+            def ev_ref(st, vals, state, varmem, instant, warnings, strict, _r=r):
+                left_code, left_val = left_ev(st, vals, state, varmem, instant, warnings, strict)
+                if left_code == UNKNOWN:
+                    return UNKNOWN, ABSENT
+                if left_code == PRESENT:
+                    return PRESENT, left_val
+                if left_code == PRESUMED:
+                    return PRESUMED, ABSENT
+                right_code = st[_r]
+                if left_code == CONST:
+                    if right_code == UNKNOWN:
+                        return UNKNOWN, ABSENT
+                    if right_code == PRESENT or right_code == CONST:
+                        return right_code, left_val
+                    if right_code == PRESUMED:
+                        return PRESUMED, ABSENT
+                    return CONST, left_val
+                if right_code == PRESENT:
+                    return PRESENT, vals[_r]
+                return right_code, ABSENT
+
+            return ev_ref, left_commit
+
         right_ev, right_commit = self.compile(expr.right)
 
         def ev(st, vals, state, varmem, instant, warnings, strict):
@@ -433,6 +511,20 @@ class _Compiler:
 
             return ev_const, None
 
+        if isinstance(expr.operand, SignalRef):
+            # ``^x``: the status slot is read inline.
+            s = self.slot(expr.operand.name)
+
+            def ev_ref(st, vals, state, varmem, instant, warnings, strict, _s=s):
+                code = st[_s]
+                if code == UNKNOWN:
+                    return UNKNOWN, ABSENT
+                if code == PRESENT or code == PRESUMED:
+                    return PRESENT, True
+                return _ABSENT_ST, ABSENT
+
+            return ev_ref, None
+
         operand_ev, operand_commit = self.compile(expr.operand)
 
         def ev(st, vals, state, varmem, instant, warnings, strict):
@@ -446,6 +538,30 @@ class _Compiler:
         return ev, operand_commit
 
     def _compile_clock_binop(self, expr: Expression) -> Tuple[EvalFn, Optional[CommitFn]]:
+        if (
+            isinstance(expr, ClockUnion)
+            and isinstance(expr.left, SignalRef)
+            and isinstance(expr.right, SignalRef)
+        ):
+            # ``x ^+ y``: both statuses are read inline.
+            l, r = self.slot(expr.left.name), self.slot(expr.right.name)
+
+            def ev_refs(st, vals, state, varmem, instant, warnings, strict, _l=l, _r=r):
+                left_code = st[_l]
+                right_code = st[_r]
+                if (
+                    left_code == PRESENT
+                    or left_code == PRESUMED
+                    or right_code == PRESENT
+                    or right_code == PRESUMED
+                ):
+                    return PRESENT, True
+                if left_code == UNKNOWN or right_code == UNKNOWN:
+                    return UNKNOWN, ABSENT
+                return _ABSENT_ST, ABSENT
+
+            return ev_refs, None
+
         left_ev, left_commit = self.compile(expr.left)
         right_ev, right_commit = self.compile(expr.right)
 

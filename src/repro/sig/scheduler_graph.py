@@ -13,6 +13,7 @@ to count operations per signal.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -72,17 +73,16 @@ class DependencyGraph:
     def cycles(self) -> List[List[str]]:
         """All elementary strongly-connected components with more than one node
         (or a self loop), each returned as a list of node names."""
-        return [scc for scc in self.strongly_connected_components() if self._is_cycle(scc)]
-
-    def _is_cycle(self, scc: List[str]) -> bool:
-        if len(scc) > 1:
-            return True
-        node = scc[0]
-        return any(e.source == node and e.target == node for e in self.edges)
+        self_loops = {e.source for e in self.edges if e.source == e.target}
+        return [
+            scc
+            for scc in self.strongly_connected_components()
+            if len(scc) > 1 or scc[0] in self_loops
+        ]
 
     def strongly_connected_components(self) -> List[List[str]]:
         """Tarjan's algorithm (iterative) over the adjacency structure."""
-        adj = self.adjacency()
+        adj = {node: sorted(targets) for node, targets in self.adjacency().items()}
         index_counter = [0]
         index: Dict[str, int] = {}
         lowlink: Dict[str, int] = {}
@@ -105,7 +105,7 @@ class DependencyGraph:
                     on_stack.add(node)
                     call_stack.append(node)
                 recurse = False
-                successors = sorted(adj.get(node, ()))
+                successors = adj[node]
                 for i in range(child_index, len(successors)):
                     succ = successors[i]
                     if succ not in index:
@@ -136,19 +136,20 @@ class DependencyGraph:
         """A topological order of the nodes, or ``None`` when a cycle exists."""
         adj = self.adjacency()
         in_degree: Dict[str, int] = {node: 0 for node in adj}
-        for source, targets in adj.items():
+        for targets in adj.values():
             for target in targets:
-                in_degree[target] = in_degree.get(target, 0) + 1
-        ready = sorted(node for node, degree in in_degree.items() if degree == 0)
+                in_degree[target] += 1
+        # Kahn's algorithm, always taking the smallest ready node.
+        ready = [node for node, degree in in_degree.items() if degree == 0]
+        heapq.heapify(ready)
         order: List[str] = []
         while ready:
-            node = ready.pop(0)
+            node = heapq.heappop(ready)
             order.append(node)
-            for target in sorted(adj.get(node, ())):
+            for target in adj[node]:
                 in_degree[target] -= 1
                 if in_degree[target] == 0:
-                    ready.append(target)
-            ready.sort()
+                    heapq.heappush(ready, target)
         if len(order) != len(adj):
             return None
         return order

@@ -94,8 +94,9 @@ class TestCommands:
         assert "streamed" in out
 
     def test_simulate_no_trace_rejects_post_hoc_vcd(self, model_file, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             main(["simulate", model_file, "--no-trace", "--vcd", str(tmp_path / "t.vcd")])
+        assert exit_info.value.code == 2
 
     def test_simulate_vectorized_backend_with_block_size(self, model_file, capsys):
         code = main(["simulate", model_file, "--hyperperiods", "1",
@@ -186,3 +187,44 @@ class TestModelArgument:
         assert err.startswith("error: ") and missing in err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+
+class TestBadInputs:
+    """Every subcommand that runs the tool chain turns a model, root or
+    policy it rejects into one ``error:`` line and exit code 2."""
+
+    BAD_INPUTS = {
+        # large_integration's thread set misses a deadline under RM.
+        "unschedulable": (["large_integration"], "no static schedule"),
+        "unknown-policy": (["producer_consumer", "--policy", "LIFO"], "unknown scheduling policy"),
+        "unknown-root": (["producer_consumer", "--root", "Nope.impl"], "unknown component"),
+        "syntax-error": (["{syntax_error}"], "{syntax_error}:5:1: expected ';'"),
+        "no-system-implementation": (["{no_implementation}"], "no system implementation found"),
+    }
+
+    @pytest.mark.parametrize("bad_input", sorted(BAD_INPUTS))
+    @pytest.mark.parametrize(
+        "command", [["analyse"], ["schedule"], ["translate"], ["simulate"], ["sweep", "run"]]
+    )
+    def test_bad_input_is_a_clean_usage_error(self, command, bad_input, tmp_path, capsys):
+        syntax_error = tmp_path / "truncated.aadl"
+        syntax_error.write_text("package P\npublic\n  system s\n  end s\n")
+        no_implementation = tmp_path / "no_implementation.aadl"
+        no_implementation.write_text("package P\npublic\n  system s\n  end s;\nend P;\n")
+        paths = {"syntax_error": syntax_error, "no_implementation": no_implementation}
+        model_args, message = self.BAD_INPUTS[bad_input]
+        model_args = [arg.format(**paths) for arg in model_args]
+        message = message.format(**paths)
+        argv = command + model_args + ["--no-cache"]
+        if command == ["translate"]:
+            argv += ["-o", str(tmp_path / "sig")]
+        if command == ["sweep", "run"]:
+            argv += ["--out", str(tmp_path / "sweep")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err

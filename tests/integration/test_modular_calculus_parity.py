@@ -6,15 +6,30 @@ classes, resolved clocks, hierarchy, endochrony verdicts, unresolved
 constraints, the whole printed report — as flattening the model and running
 the flat solver.  This is the contract that lets the tool chain default to
 the modular calculus.
+
+The modular solver's cyclic-cluster fallback, ``_resolve_worklist``, must
+moreover resolve exactly the clocks of the pairwise loop, key order
+included.  That loop is copied verbatim below as the oracle and compared on
+every catalog model's extracted system and on random small clock systems.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.casestudies import GeneratorConfig, catalog_names, generate_case_study, load_case_study
 from repro.aadl.instance import Instantiator
 from repro.core import TranslationConfig, translate_system
+from repro.scheduling.static_scheduler import SchedulingError
 from repro.sig.calculus_modular import ExtractionCache, ModularClockCalculus
-from repro.sig.clock_calculus import run_clock_calculus
+from repro.sig.clock_calculus import (
+    ClockCalculus,
+    _defined_clocks,
+    _resolve_directed,
+    _resolve_worklist,
+    run_clock_calculus,
+)
+from repro.sig.clocks import Clock, ClockAtom
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +99,8 @@ def test_modular_calculus_matches_flat_with_scheduler():
 
 def test_cyclic_cluster_falls_back_to_flat_solver():
     """producer_consumer has a genuinely cyclic clock cluster: the modular
-    solver must detect it, fall back to the flat fixpoint, and still match."""
+    solver must detect it, fall back to the worklist replay of the flat
+    solver's pairwise fixpoint, and still match."""
     entry = load_case_study("producer_consumer")
     system_model = translate_system(
         entry.instantiate(), TranslationConfig(include_scheduler=False)
@@ -106,3 +122,89 @@ def test_extraction_cache_is_reusable_across_runs():
     assert cache.misses == first_misses
     assert calculus.stats.extraction_misses == 0
     assert calculus.stats.extraction_hits > 0
+
+
+# ----------------------------------------------------------------------
+# the cyclic-cluster fallback against the verbatim pairwise loop
+# ----------------------------------------------------------------------
+def _pairwise_oracle(defined_clocks, rep_count):
+    """The flat solver's pairwise fixpoint, copied verbatim."""
+    resolved = dict(defined_clocks)
+    for _ in range(rep_count + 1):
+        changed = False
+        for rep, clock in list(resolved.items()):
+            new_clock = clock
+            for other, other_clock in resolved.items():
+                if other == rep:
+                    continue
+                if other in new_clock.base_signals():
+                    if rep in other_clock.base_signals():
+                        continue
+                    candidate = new_clock.substitute_signal(other, other_clock)
+                    if candidate != new_clock:
+                        new_clock = candidate
+            if new_clock != resolved[rep]:
+                resolved[rep] = new_clock
+                changed = True
+        if not changed:
+            break
+    return resolved
+
+
+def assert_same_resolution(defined_clocks, rep_count):
+    expected = _pairwise_oracle(defined_clocks, rep_count)
+    actual = _resolve_worklist(defined_clocks, rep_count)
+    assert actual == expected
+    assert list(actual) == list(expected)
+    # Clock equality compares the products tuple in order: bit-identical.
+    assert [actual[rep].products for rep in actual] == [expected[rep].products for rep in expected]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_worklist_fallback_matches_pairwise_loop_on_catalog(name):
+    """Scheduled where synthesis succeeds: the scheduler adds the clocks the
+    tool chain analyses by default."""
+    entry = load_case_study(name)
+    try:
+        translation = translate_system(entry.instantiate(), TranslationConfig(include_scheduler=True))
+    except SchedulingError:
+        translation = translate_system(entry.instantiate(), TranslationConfig(include_scheduler=False))
+    flat = translation.system_model.flatten()
+    uf, defined = _defined_clocks(flat.signals, ClockCalculus(flat)._extract())
+    assert_same_resolution(defined, len(uf.classes()))
+    if name == "producer_consumer":
+        assert _resolve_directed(defined) is None  # the cyclic cluster
+
+
+_NAMES = ("a", "b", "c", "d", "e", "f")
+
+_atoms = st.builds(ClockAtom, st.sampled_from(("sig", "sig", "true", "false")), st.sampled_from(_NAMES))
+_products = st.frozensets(_atoms, max_size=3)
+
+
+@st.composite
+def _clock_systems(draw):
+    """Small systems over a few names: some defined, some free.  Clocks are
+    either normalised or raw ``Clock(products=...)`` tuples, which may hold
+    duplicate, absorbed or contradictory products, as the normalisation step
+    of the solver leaves them."""
+    reps = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=len(_NAMES), unique=True))
+    system = {}
+    for rep in reps:
+        products = draw(st.lists(_products, max_size=3))
+        if draw(st.booleans()):
+            system[rep] = Clock(products=tuple(products))
+        else:
+            clock = Clock.null()
+            for product in products:
+                clock = clock.union(Clock.from_product(product))
+            system[rep] = clock
+    rep_count = draw(st.integers(min_value=0, max_value=len(_NAMES)))
+    return system, rep_count
+
+
+@settings(max_examples=400, deadline=None)
+@given(_clock_systems())
+def test_worklist_fallback_matches_pairwise_loop_on_random_systems(case):
+    defined_clocks, rep_count = case
+    assert_same_resolution(defined_clocks, rep_count)

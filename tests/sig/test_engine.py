@@ -275,6 +275,28 @@ class TestErrorParity:
         assert type(ref_error) is type(comp_error) is ClockViolation
         assert str(ref_error) == str(comp_error)
 
+    def test_sync_group_settled_before_undeclared_target_resolves(self):
+        # ``u`` is an undeclared target: absent until its equation resolves
+        # in the second sweep, after the first propagation has already made
+        # ``y`` absent.  The group {y, u} only disagrees then.
+        model = ProcessModel("late")
+        model.input("a", INTEGER)
+        model.define("y", b.ref("v"))
+        model.define("u", b.ref("w"))
+        del model.signals["u"]
+        model.define("v", b.ref("a"))
+        model.define("w", b.ref("a"))
+        model.synchronise("y", "u")
+        sc = scenario(2, a=[1, 2])
+        ref_error, comp_error = self._errors(model, sc)
+        assert type(ref_error) is type(comp_error) is ClockViolation
+        assert str(ref_error) == str(comp_error)
+        lenient = [
+            runner(model.copy(), strict=False).run(sc).warnings
+            for runner in (ReferenceBackend, CompiledBackend)
+        ]
+        assert lenient[0] and lenient[0] == lenient[1]
+
     def test_instantaneous_cycle(self):
         model = ProcessModel("loop")
         model.input("tick")
@@ -383,6 +405,38 @@ class TestDifferentialFuzz:
         rng = random.Random(20260730)
         for index in range(80):
             model, sc = self._random_case(rng, index)
+            for strict in (True, False):
+                reference = self._outcome(ReferenceBackend, model, sc, strict)
+                compiled = self._outcome(CompiledBackend, model, sc, strict)
+                assert compiled == reference, f"case {index}, strict={strict}"
+
+    def _inlined_read(self, rng, names):
+        """A root shape whose signal operands the plan compiler reads
+        inline (``x $``, ``^x``, ``e when ^x``, ``e default x``, ``x ^+ y``)
+        over random sub-expressions."""
+        ref = lambda: b.ref(rng.choice(names))  # noqa: E731
+        sub = lambda: self._expression(rng, names, rng.randint(0, 2))  # noqa: E731
+        kind = rng.randrange(5)
+        if kind == 0:
+            return b.delay(ref(), init=rng.randint(0, 3), depth=rng.randint(1, 2))
+        if kind == 1:
+            return b.clock(ref())
+        if kind == 2:
+            return b.when(sub(), b.clock(ref()))
+        if kind == 3:
+            return b.default(sub(), ref())
+        return b.clock_union(ref(), ref())
+
+    def test_inlined_signal_reads_match_reference_exactly(self):
+        import random
+
+        rng = random.Random(20261017)
+        for index in range(120):
+            model, sc = self._random_case(rng, index)
+            names = ["a", "c", "e", "u"] + [eq.target for eq in model.equations]
+            for target in sorted({eq.target for eq in model.equations}):
+                model.define_partial(target, self._inlined_read(rng, names))
+            model.define("u", self._inlined_read(rng, names))
             for strict in (True, False):
                 reference = self._outcome(ReferenceBackend, model, sc, strict)
                 compiled = self._outcome(CompiledBackend, model, sc, strict)

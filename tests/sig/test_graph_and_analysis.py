@@ -1,12 +1,16 @@
 """Tests of the dependency graph and the static analyses (determinism, deadlock)."""
 
+import random
+
 import pytest
 
+from repro.casestudies import catalog_names, load_case_study
+from repro.core import TranslationConfig, translate_system
 from repro.sig import builder as b
 from repro.sig import library
 from repro.sig.analysis import build_clock_report, check_determinism, detect_deadlocks
 from repro.sig.process import ProcessModel
-from repro.sig.scheduler_graph import build_dependency_graph
+from repro.sig.scheduler_graph import DependencyEdge, DependencyGraph, build_dependency_graph
 from repro.sig.values import BOOLEAN, EVENT, INTEGER
 
 
@@ -72,6 +76,112 @@ class TestDependencyGraph:
         graph = build_dependency_graph(model)
         nodes_in_sccs = {n for scc in graph.strongly_connected_components() for n in scc}
         assert nodes_in_sccs == graph.nodes
+
+
+def _naive_cycles(graph):
+    """Cyclic components by brute force: the nodes both reachable from and
+    reaching a node form its component; it is a cycle when it has more than
+    one node or a self-loop."""
+    forward = {node: set() for node in graph.nodes}
+    backward = {node: set() for node in graph.nodes}
+    for edge in graph.edges:
+        forward[edge.source].add(edge.target)
+        backward[edge.target].add(edge.source)
+
+    def reach(start, adjacency):
+        seen, todo = {start}, [start]
+        while todo:
+            for succ in adjacency[todo.pop()]:
+                if succ not in seen:
+                    seen.add(succ)
+                    todo.append(succ)
+        return seen
+
+    cycles, assigned = set(), set()
+    for node in graph.nodes:
+        if node in assigned:
+            continue
+        component = reach(node, forward) & reach(node, backward)
+        assigned |= component
+        if len(component) > 1 or node in forward[node]:
+            cycles.add(frozenset(component))
+    return cycles
+
+
+def assert_cycles_match_naive(graph):
+    cycles = graph.cycles()
+    assert all(cycle == sorted(cycle) for cycle in cycles)
+    assert len({frozenset(cycle) for cycle in cycles}) == len(cycles)
+    assert {frozenset(cycle) for cycle in cycles} == _naive_cycles(graph)
+
+
+class TestCyclesAgainstNaiveReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_graphs_with_self_loops(self, seed):
+        rng = random.Random(seed)
+        nodes = [f"n{i}" for i in range(rng.randint(1, 30))]
+        graph = DependencyGraph("random", nodes=set(nodes))
+        for _ in range(rng.randint(0, 3 * len(nodes))):
+            source = rng.choice(nodes)
+            target = source if rng.random() < 0.15 else rng.choice(nodes)
+            graph.edges.append(DependencyEdge(source, target, rng.choice(("value", "clock"))))
+        assert_cycles_match_naive(graph)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_flat_dependency_graphs(self, name):
+        entry = load_case_study(name)
+        flat = translate_system(
+            entry.instantiate(), TranslationConfig(include_scheduler=False)
+        ).system_model.flatten()
+        for include_clock_edges in (False, True):
+            assert_cycles_match_naive(build_dependency_graph(flat, include_clock_edges))
+
+
+def _naive_topological_order(graph):
+    """Repeatedly take the smallest node none of whose remaining
+    predecessors is left; ``None`` when no such node exists."""
+    predecessors = {node: set() for node in graph.nodes}
+    for edge in graph.edges:
+        predecessors.setdefault(edge.source, set())
+        predecessors.setdefault(edge.target, set()).add(edge.source)
+    remaining = set(predecessors)
+    order = []
+    while remaining:
+        ready = [node for node in remaining if not predecessors[node] & remaining]
+        if not ready:
+            return None
+        order.append(min(ready))
+        remaining.remove(order[-1])
+    return order
+
+
+class TestTopologicalOrderAgainstNaiveReference:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_dags_and_cyclic_graphs(self, seed):
+        rng = random.Random(seed)
+        nodes = [f"n{i}" for i in range(rng.randint(1, 25))]
+        rank = {node: position for position, node in enumerate(rng.sample(nodes, len(nodes)))}
+        graph = DependencyGraph("random", nodes=set(nodes))
+        for _ in range(rng.randint(0, 2 * len(nodes))):
+            source, target = rng.choice(nodes), rng.choice(nodes)
+            # Even seeds keep every edge along one hidden rank: a DAG.
+            if seed % 2 == 0 and rank[source] >= rank[target]:
+                continue
+            graph.edges.append(DependencyEdge(source, target, "value"))
+        order = graph.topological_order()
+        assert order == _naive_topological_order(graph)
+        assert (order is None) == bool(graph.cycles())
+
+    @pytest.mark.parametrize("name", ["producer_consumer", "flight_management"])
+    def test_catalog_flat_dependency_graphs(self, name):
+        entry = load_case_study(name)
+        flat = translate_system(
+            entry.instantiate(), TranslationConfig(include_scheduler=False)
+        ).system_model.flatten()
+        graph = build_dependency_graph(flat)
+        order = graph.topological_order()
+        assert order is not None
+        assert order == _naive_topological_order(graph)
 
 
 class TestDeadlockDetection:
