@@ -17,19 +17,39 @@ import time
 REPEATS = 2
 
 
+def _timed(run):
+    """Return ``(result, seconds)`` for one call to ``run()``, with the
+    cyclic collector disabled while timing."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = run()
+        return result, time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
 def best_of(run, repeats=REPEATS):
     """Return ``(result, seconds)`` for the fastest of ``repeats`` calls
     to ``run()``, with the cyclic collector disabled while timing."""
     best_result, best = None, None
     for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            result = run()
-            seconds = time.perf_counter() - start
-        finally:
-            gc.enable()
+        result, seconds = _timed(run)
         if best is None or seconds < best:
             best_result, best = result, seconds
     return best_result, best
+
+
+def best_of_interleaved(first, second, repeats=REPEATS):
+    """:func:`best_of` for two runs timed in alternation (first, second,
+    first, ...), so that a burst of machine load lands on both sides of a
+    ratio instead of on whichever side happened to be timed during it.
+    Returns ``((first_result, seconds), (second_result, seconds))``."""
+    best = [(None, None), (None, None)]
+    for _ in range(repeats):
+        for side, run in enumerate((first, second)):
+            result, seconds = _timed(run)
+            if best[side][1] is None or seconds < best[side][1]:
+                best[side] = (result, seconds)
+    return best[0], best[1]

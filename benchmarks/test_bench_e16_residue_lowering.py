@@ -1,4 +1,4 @@
-"""E16 — lowering the residue: scan kernels + clustering + codegen.
+"""E16 — lowering the residue: scan kernels + clustering.
 
 E14 vectorized the stateless strata, but on scheduler-heavy models most
 targets still run in the interpreted per-instant residual sweep — delayed
@@ -6,12 +6,12 @@ job counters above all.  This benchmark extends the E14 generator into a
 **residue-dominated** model: affine delay counters (``cnt = zcnt + s``,
 promoted to ``np.add.accumulate`` prefix scans), the E14 damped
 accumulators (non-affine recurrences, promoted to generated scalar-loop
-scans), cell-based holds (genuinely residual: clustered and lowered), and a
-thin stateless pipeline for the pre/post strata.
+scans), cell-based holds (genuinely residual: swept per instant in their
+own clusters), and a thin stateless pipeline for the pre/post strata.
 
-Gate: the fully armed vectorized backend (``scan_recurrences`` +
-``cluster_residue`` + ``lowered_residue``) must beat the same backend with
-all three disabled — the "current vectorized" of E14 — by **>= 3x**
+Gate: the armed vectorized backend (its defaults, ``scan_recurrences`` +
+``cluster_residue``) must beat the same backend with both disabled — the
+"current vectorized" of E14 — by **>= 3x**
 wall-clock, bit-identically, while the residual fraction drops from
 dominant to **< 25%** of targets.  Both fractions are persisted in the
 ``residue_lowering_e16`` extras of ``BENCH_e10.json``.
@@ -59,9 +59,9 @@ def build_residue_model(counters=COUNTERS, holds=HOLDS):
 
 
 def test_bench_e16_residue_lowering(bench_e10):
-    """Acceptance gate: recurrence scans + residue clustering + lowered
-    residual evaluators together >= 3x over the flags-off vectorized
-    backend, residual fraction below 25%, bit-identical traces."""
+    """Acceptance gate: recurrence scans + residue clustering together
+    >= 3x over the flags-off vectorized backend, residual fraction below
+    25%, bit-identical traces."""
     if not numpy_available():
         pytest.skip("numpy not installed; the vectorized backend has no kernels")
     model = build_residue_model()
@@ -72,12 +72,11 @@ def test_bench_e16_residue_lowering(bench_e10):
         strict=False,
         scan_recurrences=False,
         cluster_residue=False,
-        lowered_residue=False,
     )
     before_trace, before_seconds = best_of(lambda: before.run(scenario))
     stats_before = before.vector_plan.statistics()
 
-    after = VectorizedBackend(model, strict=False, lowered_residue=True)
+    after = VectorizedBackend(model, strict=False)
     after_trace, after_seconds = best_of(lambda: after.run(scenario))
     stats_after = after.vector_plan.statistics()
 
@@ -101,7 +100,6 @@ def test_bench_e16_residue_lowering(bench_e10):
         residue_fraction_after=round(fraction_after, 4),
         recurrence_targets=stats_after.recurrence,
         residue_clusters=stats_after.clusters,
-        lowered_evaluators=stats_after.lowered,
     )
     print(
         f"\nE16 — residue model ({model.equation_count()} equations, "

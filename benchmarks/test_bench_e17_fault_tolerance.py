@@ -25,7 +25,7 @@ batch, so ``speedup`` is the inverse of the overhead ratio).
 
 import pytest
 
-from bench_timing import best_of
+from bench_timing import best_of_interleaved
 
 from repro.sig import builder as b
 from repro.sig.engine import FaultPlan, FaultSpec, create_backend, run_batch_supervised
@@ -142,8 +142,9 @@ def test_bench_e17_fault_tolerance(bench_e10):
             retries=2,
         )
 
-    knob_free_result, knob_free_seconds = best_of(knob_free)
-    armed_result, armed_seconds = best_of(armed)
+    (knob_free_result, knob_free_seconds), (armed_result, armed_seconds) = (
+        best_of_interleaved(knob_free, armed)
+    )
     assert not knob_free_result[3] and not armed_result[3]  # fault-free
     for index in range(SCENARIOS):
         assert _flows(armed_result[0][index]) == _flows(knob_free_result[0][index])

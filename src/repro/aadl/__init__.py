@@ -11,6 +11,7 @@ from .errors import (
     AadlInstantiationError,
     AadlSemanticError,
     AadlSyntaxError,
+    AadlValidationError,
     Diagnostic,
     DiagnosticCollector,
     SourceLocation,
@@ -96,7 +97,7 @@ from . import stdlib
 __all__ = [
     # errors
     "AadlError", "AadlInstantiationError", "AadlSemanticError", "AadlSyntaxError",
-    "Diagnostic", "DiagnosticCollector", "SourceLocation",
+    "AadlValidationError", "Diagnostic", "DiagnosticCollector", "SourceLocation",
     # model
     "AadlModel", "AadlPackage", "AccessKind", "BusAccess", "ComponentCategory",
     "ComponentImplementation", "ComponentType", "Connection", "ConnectionEnd",

@@ -95,3 +95,18 @@ class DiagnosticCollector:
         if not self.diagnostics:
             return "no findings"
         return "\n".join(str(d) for d in self.diagnostics)
+
+
+class AadlValidationError(AadlError, ValueError):
+    """Strict validation found at least one error diagnostic.
+
+    The message names the first error and the error count on one line;
+    :attr:`diagnostics` keeps every finding.
+    """
+
+    def __init__(self, diagnostics: DiagnosticCollector) -> None:
+        self.diagnostics = diagnostics
+        errors = diagnostics.errors
+        super().__init__(
+            f"AADL validation failed with {len(errors)} error(s), first: {errors[0]}"
+        )

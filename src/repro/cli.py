@@ -50,11 +50,10 @@ def _non_negative_int(text: str) -> int:
 def _print_plan_stats(model, backend_name, backend_options) -> None:
     """Print the execution-plan partition breakdown for ``--plan-stats``.
 
-    Shows the compiled plan shape for every backend, the stratum partition
+    Shows the compiled plan shape for every backend and the stratum partition
     (pre-sweep / recurrence / residual clusters / post-sweep) for the
-    vectorized backend, and the generated-evaluator counts for the lowered
-    backend — the residue composition, without digging through benchmark
-    extras.
+    vectorized backend — the residue composition, without digging through
+    benchmark extras.
     """
     runner = create_backend(model, backend=backend_name, strict=False, **backend_options)
     plan = getattr(runner, "plan", None)
@@ -67,12 +66,6 @@ def _print_plan_stats(model, backend_name, backend_options) -> None:
     vector = getattr(runner, "vector_plan", None)
     if vector is not None:
         print(f"  {vector.statistics().summary()}")
-    lowered = getattr(plan, "lowered_targets", None)
-    if lowered is not None:
-        print(
-            f"  lowered evaluators: {lowered} target(s) generated, "
-            f"{plan.interpreted_targets} interpreted"
-        )
 
 
 def _stats_sink_factory(index: int) -> StatisticsSink:
@@ -500,7 +493,7 @@ def _parse_predicate(text: str):
             except ValueError:
                 value = raw
             return (column.strip(), canonical, value)
-    raise SystemExit(f"error: cannot parse --where clause {text!r} (use column=value)")
+    _usage_error(f"cannot parse --where clause {text!r} (use column=value)")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -548,7 +541,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"shard store written to {args.out}")
         return 0 if sweep_result.ok else 1
 
-    store = SweepResultStore(args.dir)
+    where = [_parse_predicate(clause) for clause in (getattr(args, "where", None) or [])]
+    try:
+        store = SweepResultStore(args.dir)
+    except (OSError, ValueError, RuntimeError) as exc:
+        _usage_error(f"cannot open sweep store: {exc}")
     if args.sweep_command == "info":
         manifest = store.manifest
         state = "complete" if store.complete else "incomplete"
@@ -576,7 +573,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         columns = None
         if args.columns:
             columns = [name.strip() for name in args.columns.split(",") if name.strip()]
-        where = [_parse_predicate(clause) for clause in (args.where or [])]
         count = 0
         for row in store.query(args.table, columns=columns, where=where, limit=args.limit):
             print(dumps_json(row))
@@ -744,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the execution-plan partition breakdown for the chosen "
         "backend (vectorized strata incl. recurrence scans and residue "
-        "clusters, lowered evaluator counts)",
+        "clusters)",
     )
     simulate.add_argument(
         "--window",

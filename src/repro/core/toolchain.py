@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..aadl.errors import DiagnosticCollector
+from ..aadl.errors import AadlValidationError, DiagnosticCollector
 from ..aadl.instance import ComponentInstance, Instantiator, instance_report
 from ..aadl.model import AadlModel
 from ..aadl.parser import parse_string
@@ -265,7 +265,7 @@ def run_toolchain(
     # 2. validation
     diagnostics = validate(model, root)
     if options.strict_validation and diagnostics.has_errors:
-        raise ValueError("AADL validation failed:\n" + diagnostics.summary())
+        raise AadlValidationError(diagnostics)
 
     # 3 + 4. scheduling and transformation (the translator drives the synthesis).
     translation = Asme2SsmeTranslator(options.translation).translate(root)
@@ -368,7 +368,7 @@ def _restore_from_store(
     # errors raise before anything is published, so this only fires when a
     # lenient run's artifact is somehow restored under a strict key.)
     if options.strict_validation and has_errors:
-        raise ValueError("AADL validation failed:\n" + diagnostics.summary())
+        raise AadlValidationError(diagnostics)
     return ToolchainResult(
         options=options,
         store_hit=True,

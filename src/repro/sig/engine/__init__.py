@@ -11,9 +11,7 @@ implementations:
 * ``vectorized`` — numpy kernels over instant blocks for the stateless
   strata of the plan plus scan kernels for delay recurrences and clustered
   residual sweeps (:mod:`repro.sig.engine.vectorized`); soft-depends on
-  numpy and degrades to ``compiled`` with a warning when it is missing;
-* ``lowered`` — per-equation generated flat Python evaluators replacing the
-  plan's closure interpreter (:mod:`repro.sig.engine.lowered`).
+  numpy and degrades to ``compiled`` with a warning when it is missing.
 
 Use :func:`simulate` for a single scenario, :func:`simulate_batch` to run a
 whole batch through one prepared backend (``workers=N`` shards it over
@@ -51,12 +49,6 @@ from .backends import (
 )
 from .batch import BatchResult, batch_flow_summary, default_scenario, simulate_batch
 from .faults import FaultInjected, FaultPlan, FaultSpec, InjectedCrash
-from .lowered import (
-    LoweredBackend,
-    LoweredExecutionPlan,
-    compile_lowered,
-    lower_plan_evaluators,
-)
 from .plan import ExecutionPlan, PlanStatistics, TargetPlan, compile_plan
 from .supervisor import (
     BudgetExceeded,
@@ -117,8 +109,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedCrash",
-    "LoweredBackend",
-    "LoweredExecutionPlan",
     "PlanStatistics",
     "ReferenceBackend",
     "ScenarioBudget",
@@ -133,13 +123,11 @@ __all__ = [
     "VectorizedBackend",
     "backend_names",
     "batch_flow_summary",
-    "compile_lowered",
     "compile_plan",
     "compile_vectorized",
     "create_backend",
     "default_scenario",
     "default_worker_count",
-    "lower_plan_evaluators",
     "numpy_available",
     "run_batch_supervised",
     "simulate",

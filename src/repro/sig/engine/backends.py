@@ -15,15 +15,11 @@ that can run :class:`~repro.sig.simulator.Scenario` objects and produce
   :mod:`repro.sig.engine.vectorized`) — numpy kernels over instant blocks
   for the stateless strata of the plan, scan kernels for delay
   recurrences, clustered per-instant sweep for the residue; degrades to
-  the compiled executor when numpy is missing;
-* :class:`~repro.sig.engine.lowered.LoweredBackend` (registered by
-  :mod:`repro.sig.engine.lowered`) — the compiled plan with generated
-  flat Python evaluators in place of the closure interpreter.
+  the compiled executor when numpy is missing.
 
 All backends produce bit-identical traces and raise the same simulation
-errors; the integration tests ``tests/integration/test_backend_parity.py``,
-``tests/integration/test_vectorized_parity.py`` and
-``tests/integration/test_lowered_parity.py`` enforce this over the
+errors; the integration tests ``tests/integration/test_backend_parity.py``
+and ``tests/integration/test_vectorized_parity.py`` enforce this over the
 whole case-study catalog.  New backends (generated C, cython kernels) plug
 in by subclassing :class:`SimulationBackend` and registering in
 :data:`BACKENDS`.

@@ -35,9 +35,7 @@ and evaluated for a whole **instant block** at once:
   components of the read/synchronisation graph), each swept separately
   with its own worklist; a stateless cluster whose external inputs are
   unchanged from the previous instant is **skipped** by copying its
-  previous row.  With ``lowered_residue=True`` the residual work items
-  run the generated flat evaluators of :mod:`repro.sig.engine.lowered`
-  instead of the plan's closure trees;
+  previous row;
 * the **post-sweep stratum** holds vectorisable targets that nothing in
   the residue observes (no readers outside the stratum, no ``^=``
   membership, no shared-variable reads); it runs block-wise after the
@@ -105,7 +103,6 @@ from .plan import (
     PRESENT,
     PRESUMED,
     PURE_OPERATORS,
-    TargetPlan,
     UNKNOWN,
     _ABSENT_ST,
     compile_plan,
@@ -940,15 +937,12 @@ class VectorPlanStatistics:
     block_size: int
     recurrence: int = 0
     clusters: int = 0
-    lowered: int = 0
 
     def summary(self) -> str:
         """One line describing the stratum partition."""
         residue = f"{self.residual} residual"
         if self.clusters:
             residue += f" in {self.clusters} cluster(s)"
-        if self.lowered:
-            residue += f" ({self.lowered} lowered)"
         return (
             f"vectorized plan: {self.vectorized}/{self.targets} targets in numpy "
             f"strata ({self.pre_stratum} pre-sweep + {self.recurrence} "
@@ -977,7 +971,6 @@ class VectorExecutionPlan:
         block_size: int = DEFAULT_BLOCK_SIZE,
         scan_recurrences: bool = True,
         cluster_residue: bool = True,
-        lowered_residue: bool = False,
     ) -> None:
         if _np is None:  # pragma: no cover - exercised by the no-numpy CI leg
             raise RuntimeError("numpy is required to build a VectorExecutionPlan")
@@ -985,7 +978,6 @@ class VectorExecutionPlan:
         self.block_size = max(1, int(block_size))
         self.scan_recurrences = scan_recurrences
         self.cluster_residue = cluster_residue
-        self.lowered_residue = lowered_residue
         #: Blocks executed through the numpy strata / replayed through the
         #: pure sweep, across every run of this plan (for tests and reports).
         self.vector_blocks = 0
@@ -1165,9 +1157,6 @@ class VectorExecutionPlan:
         self._residual_work = tuple(
             item for item in plan._work if item[0] not in self._vector_slots
         )
-        self._lowered_count = 0
-        if lowered_residue and self._residual_work:
-            self._residual_work = self._lower_residual_work(self._residual_work)
         residual_slots = {item[0] for item in self._residual_work}
         if cluster_residue:
             self._clusters, self._global_groups = self._build_clusters(
@@ -1268,35 +1257,6 @@ class VectorExecutionPlan:
                 commit_index=plan._delay_commit_index[z_name],
             )
         return None
-
-    # ------------------------------------------------------------------
-    def _lower_residual_work(self, residual_work):
-        """Swap lowered (codegen) evaluators into the residual work items.
-
-        Uses :func:`repro.sig.engine.lowered.lower_plan_evaluators`; targets
-        the generator cannot lower keep their interpreted closures.  The
-        pure replay path keeps the *original* plan items, so a codegen bug
-        can at worst cost a block fallback, never parity.
-        """
-        from .lowered import lower_plan_evaluators
-
-        lowered_map = lower_plan_evaluators(self.plan)
-        if not lowered_map:
-            return residual_work
-        new_work = []
-        for item in residual_work:
-            slot, is_declared, _single, target = item
-            evaluators = lowered_map.get(target.name)
-            if evaluators is None or len(evaluators) != len(target.evaluators):
-                new_work.append(item)
-                continue
-            clone = TargetPlan(
-                target.name, target.slot, target.declared, list(evaluators)
-            )
-            single = clone.evaluators[0] if len(clone.evaluators) == 1 else None
-            new_work.append((slot, is_declared, single, clone))
-            self._lowered_count += 1
-        return tuple(new_work)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -1406,7 +1366,6 @@ class VectorExecutionPlan:
             block_size=self.block_size,
             recurrence=recurrence,
             clusters=len(self._clusters) if self._clusters else 0,
-            lowered=self._lowered_count,
         )
 
     # ------------------------------------------------------------------
@@ -1854,7 +1813,6 @@ def compile_vectorized(
     block_size: int = DEFAULT_BLOCK_SIZE,
     scan_recurrences: bool = True,
     cluster_residue: bool = True,
-    lowered_residue: bool = False,
 ) -> VectorExecutionPlan:
     """Compile *process* into a plan plus its vector strata (requires numpy)."""
     return VectorExecutionPlan(
@@ -1862,7 +1820,6 @@ def compile_vectorized(
         block_size=block_size,
         scan_recurrences=scan_recurrences,
         cluster_residue=cluster_residue,
-        lowered_residue=lowered_residue,
     )
 
 
@@ -1872,11 +1829,8 @@ class VectorizedBackend(SimulationBackend):
     Construction options (ignored by the other backends): ``block_size``
     (instants per block, default :data:`DEFAULT_BLOCK_SIZE`),
     ``scan_recurrences`` (promote delay recurrences into scan stages,
-    default ``True``), ``cluster_residue`` (partition the residual sweep
-    into independent clusters with a per-instant skip, default ``True``)
-    and ``lowered_residue`` (swap codegen evaluators from
-    :mod:`repro.sig.engine.lowered` into the residual work items, default
-    ``False``).
+    default ``True``) and ``cluster_residue`` (partition the residual sweep
+    into independent clusters with a per-instant skip, default ``True``).
 
     When numpy is not importable the backend warns (``RuntimeWarning``) and
     degrades to the compiled plan executor: every run still produces the
@@ -1892,14 +1846,12 @@ class VectorizedBackend(SimulationBackend):
         block_size: int = DEFAULT_BLOCK_SIZE,
         scan_recurrences: bool = True,
         cluster_residue: bool = True,
-        lowered_residue: bool = False,
         **options: Any,
     ) -> None:
         super().__init__(process, strict, **options)
         self.block_size = max(1, int(block_size))
         self.scan_recurrences = scan_recurrences
         self.cluster_residue = cluster_residue
-        self.lowered_residue = lowered_residue
         self._plan = compile_plan(process)
         if _np is None:
             _warnings_module.warn(NUMPY_FALLBACK_MESSAGE, RuntimeWarning, stacklevel=2)
@@ -1910,7 +1862,6 @@ class VectorizedBackend(SimulationBackend):
                 block_size=self.block_size,
                 scan_recurrences=scan_recurrences,
                 cluster_residue=cluster_residue,
-                lowered_residue=lowered_residue,
             )
 
     @property
@@ -1956,7 +1907,6 @@ class VectorizedBackend(SimulationBackend):
             "block_size": self.block_size,
             "scan_recurrences": self.scan_recurrences,
             "cluster_residue": self.cluster_residue,
-            "lowered_residue": self.lowered_residue,
         }
 
     def __setstate__(self, payload: Dict[str, Any]) -> None:
@@ -1966,7 +1916,6 @@ class VectorizedBackend(SimulationBackend):
             block_size=payload["block_size"],
             scan_recurrences=payload["scan_recurrences"],
             cluster_residue=payload["cluster_residue"],
-            lowered_residue=payload["lowered_residue"],
         )
 
 

@@ -200,6 +200,12 @@ class TestBadInputs:
         "unknown-root": (["producer_consumer", "--root", "Nope.impl"], "unknown component"),
         "syntax-error": (["{syntax_error}"], "{syntax_error}:5:1: expected ';'"),
         "no-system-implementation": (["{no_implementation}"], "no system implementation found"),
+        # A periodic thread without a Period fails strict validation.
+        "invalid-model": (
+            ["{invalid_model}", "--root", "p.impl"],
+            "AADL validation failed with 1 error(s), first: [error] p.w: "
+            "Periodic thread has no Period",
+        ),
     }
 
     @pytest.mark.parametrize("bad_input", sorted(BAD_INPUTS))
@@ -211,7 +217,20 @@ class TestBadInputs:
         syntax_error.write_text("package P\npublic\n  system s\n  end s\n")
         no_implementation = tmp_path / "no_implementation.aadl"
         no_implementation.write_text("package P\npublic\n  system s\n  end s;\nend P;\n")
-        paths = {"syntax_error": syntax_error, "no_implementation": no_implementation}
+        invalid_model = tmp_path / "invalid_model.aadl"
+        invalid_model.write_text(
+            "package Bad\npublic\n"
+            "  thread t\n  properties\n    Dispatch_Protocol => Periodic;\n  end t;\n"
+            "  thread implementation t.impl\n  end t.impl;\n"
+            "  process p\n  end p;\n"
+            "  process implementation p.impl\n  subcomponents\n    w: thread t.impl;\n"
+            "  end p.impl;\nend Bad;\n"
+        )
+        paths = {
+            "syntax_error": syntax_error,
+            "no_implementation": no_implementation,
+            "invalid_model": invalid_model,
+        }
         model_args, message = self.BAD_INPUTS[bad_input]
         model_args = [arg.format(**paths) for arg in model_args]
         message = message.format(**paths)
@@ -228,3 +247,42 @@ class TestBadInputs:
         assert captured.err.startswith(f"error: {message}")
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
+
+
+class TestSweepStoreBadInputs:
+    """``sweep info`` and ``sweep query`` turn a directory that holds no
+    readable sweep store, or an unparsable ``--where``, into one ``error:``
+    line and exit code 2."""
+
+    BAD_STORES = {
+        "missing-directory": (None, "holds no sweep manifest"),
+        "no-manifest": ("", "holds no sweep manifest"),
+        "corrupt-manifest": ("{", "cannot open sweep store: Expecting"),
+    }
+
+    @staticmethod
+    def _run(argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
+        return captured.err
+
+    @pytest.mark.parametrize("bad_store", sorted(BAD_STORES))
+    @pytest.mark.parametrize("command", ["info", "query"])
+    def test_unreadable_store_is_a_clean_usage_error(self, command, bad_store, tmp_path, capsys):
+        manifest, message = self.BAD_STORES[bad_store]
+        directory = tmp_path / "sweep"
+        if manifest is not None:
+            directory.mkdir()
+            if manifest:
+                (directory / "manifest.json").write_text(manifest)
+        err = self._run(["sweep", command, str(directory)], capsys)
+        assert err.startswith("error: ") and message in err
+
+    def test_unparsable_where_is_a_clean_usage_error(self, tmp_path, capsys):
+        err = self._run(["sweep", "query", str(tmp_path), "--where", "status"], capsys)
+        assert err.startswith("error: cannot parse --where clause 'status'")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.aadl import AadlError, AadlValidationError
 from repro.casestudies import PRODUCER_CONSUMER_AADL
 from repro.core import ToolchainOptions, run_toolchain
 from repro.sig.vcd import parse_vcd
@@ -98,8 +99,15 @@ class TestToolchainOptions:
           end p.impl;
         end Bad;
         """
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             run_toolchain(bad, ToolchainOptions(root_implementation="p.impl", default_package="Bad"))
+        error = excinfo.value
+        assert isinstance(error, AadlValidationError) and isinstance(error, AadlError)
+        assert str(error) == (
+            "AADL validation failed with 1 error(s), first: "
+            "[error] p.w: Periodic thread has no Period"
+        )
+        assert len(error.diagnostics.errors) == 1
 
     def test_lenient_validation_continues(self):
         text = """

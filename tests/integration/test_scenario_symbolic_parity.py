@@ -69,7 +69,7 @@ def _assert_traces_identical(reference, candidate, context):
 
 
 @pytest.mark.parametrize("name", catalog_names())
-@pytest.mark.parametrize("backend", ["reference", "compiled", "vectorized", "lowered"])
+@pytest.mark.parametrize("backend", ["reference", "compiled", "vectorized"])
 def test_symbolic_scenarios_match_materialized(name, backend, translated, recwarn):
     """Single-run parity: symbolic rules versus their eager expansion."""
     result = translated(name)

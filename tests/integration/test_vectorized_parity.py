@@ -4,7 +4,10 @@ The ``vectorized`` backend must be a drop-in replacement for the compiled
 execution plan (and therefore for the reference interpreter): same flows
 bit-for-bit — including the Python *types* of every value — same warning
 list, same errors, on the single-run path, the sharded batch path and the
-streaming-sink path.  Odd block sizes exercise the block boundaries.
+streaming-sink path.  Odd block sizes exercise the block boundaries.  The
+same holds with the residue clustering or both plan stages (recurrence
+scans and clustering) switched off — the configurations the E16 benchmark
+measures as its baseline — and with one-instant blocks.
 """
 
 import pytest
@@ -12,7 +15,12 @@ import pytest
 from repro.casestudies import catalog_names, load_case_study, scenario_sweep
 from repro.core import ToolchainOptions, TranslationConfig, run_toolchain
 from repro.scheduling.static_scheduler import SchedulingError
-from repro.sig.engine import CompiledBackend, VectorizedBackend, simulate_batch
+from repro.sig.engine import (
+    CompiledBackend,
+    VectorizedBackend,
+    numpy_available,
+    simulate_batch,
+)
 from repro.sig.sinks import MaterializeSink, StatisticsSink
 
 
@@ -201,6 +209,104 @@ def test_vectorized_backend_fails_identically(name, translated):
     outcomes = []
     for factory in (CompiledBackend, VectorizedBackend):
         runner = factory(system_model, strict=True)
+        try:
+            trace = runner.run(scenario)
+        except Exception as error:  # noqa: BLE001 - compared across backends
+            outcomes.append((type(error), str(error)))
+        else:
+            outcomes.append(("ok", trace.flows))
+    assert outcomes[0] == outcomes[1]
+
+
+#: Non-default vectorized plans: the E16 baselines (no residue clustering;
+#: neither recurrence scans nor clustering) and one-instant blocks, where
+#: every instant crosses a block boundary.
+KNOB_SETTINGS = {
+    "no-cluster": {"cluster_residue": False},
+    "no-scan-no-cluster": {"scan_recurrences": False, "cluster_residue": False},
+    "one-instant-blocks": {"block_size": 1},
+}
+
+
+def _knob_backend(system_model, knobs, strict=False):
+    """A vectorized backend with ``knobs`` applied, checked to have taken
+    effect on the compiled plan."""
+    options = {"block_size": 13, **knobs}
+    backend = VectorizedBackend(system_model, strict=strict, **options)
+    if numpy_available():
+        stats = backend.vector_plan.statistics()
+        assert stats.block_size == options["block_size"]
+        if not knobs.get("scan_recurrences", True):
+            assert stats.recurrence == 0
+        if not knobs.get("cluster_residue", True):
+            assert stats.clusters == 0
+    return backend
+
+
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("knobs", list(KNOB_SETTINGS.values()), ids=list(KNOB_SETTINGS))
+def test_vectorized_knobs_produce_identical_traces(name, knobs, translated):
+    """Each plan setting keeps single-run trace, value-type and warning
+    parity with ``compiled``."""
+    result = translated(name)
+    system_model = result.translation.system_model
+    scenarios = scenario_sweep(
+        system_model, length=_scenario_length(result, cap=48), variants=2, seed=17
+    )
+
+    compiled = CompiledBackend(system_model, strict=False)
+    vectorized = _knob_backend(system_model, knobs)
+    for index, scenario in enumerate(scenarios):
+        reference_trace = compiled.run(scenario)
+        trace = vectorized.run(scenario)
+        _assert_traces_identical(reference_trace, trace, f"{name}, scenario {index}")
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_vectorized_without_knobs_streams_identically(name, translated):
+    """With both knobs off, streaming sinks observe the same instants as on
+    ``compiled``."""
+    result = translated(name)
+    system_model = result.translation.system_model
+    scenario = scenario_sweep(
+        system_model, length=_scenario_length(result, cap=32), variants=1, seed=5
+    )[0]
+
+    sinks = []
+    for runner in (
+        CompiledBackend(system_model, strict=False),
+        _knob_backend(system_model, KNOB_SETTINGS["no-scan-no-cluster"]),
+    ):
+        materialize, stats = MaterializeSink(), StatisticsSink()
+        assert runner.run(scenario, sinks=[materialize, stats]) is None
+        sinks.append((materialize.trace, stats.result()))
+
+    (compiled_trace, compiled_stats), (vector_trace, vector_stats) = sinks
+    _assert_traces_identical(compiled_trace, vector_trace, name)
+    assert {
+        s: vector_stats.count_present(s) for s in vector_stats.signals()
+    } == {s: compiled_stats.count_present(s) for s in compiled_stats.signals()}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_vectorized_without_knobs_fails_identically(name, translated):
+    """With both knobs off, conflicting stimuli produce the same outcome
+    (success or identical error) in strict mode as on ``compiled``."""
+    result = translated(name)
+    system_model = result.translation.system_model
+    flat = system_model.flatten()
+    outputs = [decl.name for decl in flat.outputs()]
+    scenario = scenario_sweep(
+        system_model, length=_scenario_length(result, cap=16), variants=1, seed=3
+    )[0]
+    if outputs:
+        scenario.set_always(outputs[0], value=123456)
+
+    outcomes = []
+    for runner in (
+        CompiledBackend(system_model, strict=True),
+        _knob_backend(system_model, KNOB_SETTINGS["no-scan-no-cluster"], strict=True),
+    ):
         try:
             trace = runner.run(scenario)
         except Exception as error:  # noqa: BLE001 - compared across backends

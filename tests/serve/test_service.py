@@ -252,11 +252,12 @@ class TestSimulateParity:
             )
         assert excinfo.value.code == "invalid-program"
 
-    def test_unknown_backend_is_422(self, service, fingerprint):
+    @pytest.mark.parametrize("backend", ["gpu", "lowered"])
+    def test_unknown_backend_is_422(self, service, fingerprint, backend):
         with pytest.raises(ServeError) as excinfo:
             service.simulate(
                 fingerprint,
-                {"scenarios": [{"default": True}], "hyperperiods": 1, "backend": "gpu"},
+                {"scenarios": [{"default": True}], "hyperperiods": 1, "backend": backend},
             )
         assert excinfo.value.code == "unknown-backend"
         assert excinfo.value.status == 422

@@ -445,7 +445,7 @@ class TestDifferentialFuzz:
 
 class TestBackendApi:
     def test_registry(self):
-        assert set(BACKENDS) == {"reference", "compiled", "vectorized", "lowered"}
+        assert set(BACKENDS) == {"reference", "compiled", "vectorized"}
         assert DEFAULT_BACKEND == "compiled"
         assert backend_names()[0] == DEFAULT_BACKEND
 

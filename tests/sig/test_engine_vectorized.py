@@ -78,7 +78,6 @@ def test_partition_statistics():
     assert stats.residual == 0
     assert stats.vectorized == 5
     assert stats.clusters == 0
-    assert stats.lowered == 0
     assert stats.block_size == 8
     assert "pre-sweep" in stats.summary()
     assert "recurrence" in stats.summary()

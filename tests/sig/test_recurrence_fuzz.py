@@ -4,8 +4,7 @@ Hypothesis generates random recurrence shapes — affine accumulators
 (``y = z + e``, ``y = z - e``) that take the prefix-scan path and
 non-affine steps (``*``, ``min``, ``max``) that take the generated scalar
 loop — with random initial values, random input presence patterns, random
-block sizes and optionally the lowered residual evaluators, and checks the
-vectorized backend against the compiled plan: identical flows (values and
+block sizes, and checks the vectorized backend against the compiled plan: identical flows (values and
 Python value types) and warnings whatever the partitioning.  Skips cleanly
 when hypothesis or numpy is missing.
 """
@@ -78,9 +77,8 @@ def _cases(draw):
 @given(
     case=_cases(),
     block_size=st.integers(min_value=1, max_value=_LENGTH + 3),
-    lowered=st.booleans(),
 )
-def test_recurrence_scans_match_compiled(case, block_size, lowered):
+def test_recurrence_scans_match_compiled(case, block_size):
     shapes, constants, presence, values = case
     model = _build_model(shapes, constants)
     scenario = Scenario(_LENGTH)
@@ -91,16 +89,14 @@ def test_recurrence_scans_match_compiled(case, block_size, lowered):
         ]
 
     reference = CompiledBackend(model, strict=False).run(scenario)
-    vectorized = VectorizedBackend(
-        model, strict=False, block_size=block_size, lowered_residue=lowered
-    )
+    vectorized = VectorizedBackend(model, strict=False, block_size=block_size)
     trace = vectorized.run(scenario)
 
     assert trace.length == reference.length
     assert set(trace.flows) == set(reference.flows)
     for signal in reference.flows:
         assert trace.flows[signal] == reference.flows[signal], (
-            f"{signal!r} diverges (block_size={block_size}, lowered={lowered})"
+            f"{signal!r} diverges (block_size={block_size})"
         )
         for expected, actual in zip(
             reference.flows[signal].values, trace.flows[signal].values

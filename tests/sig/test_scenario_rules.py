@@ -216,7 +216,7 @@ class TestUnboundedScenarios:
         with pytest.raises(ValueError, match="unbounded"):
             simulate(model, sc)
 
-    @pytest.mark.parametrize("backend", ["reference", "compiled", "vectorized", "lowered"])
+    @pytest.mark.parametrize("backend", ["reference", "compiled", "vectorized"])
     def test_one_symbolic_scenario_many_horizons(self, backend, recwarn):
         model = _counter_model()
         sc = Scenario().set_periodic("tick", 2)

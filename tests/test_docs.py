@@ -1,9 +1,10 @@
 """Tier-1 enforcement of the documentation health checks.
 
-Imports ``tools/check_docs.py`` (the script CI runs) and asserts both of
-its checks are clean: no broken relative markdown links in README/ROADMAP/
-``docs/``, and no missing docstrings or dangling ``__all__`` entries in the
-engine and sink modules.
+Imports ``tools/check_docs.py`` (the script CI runs) and asserts its
+checks are clean: no broken relative markdown links in README/ROADMAP/
+``docs/``, no missing docstrings or dangling ``__all__`` entries in the
+engine and sink modules, and a README backend table that names exactly the
+registered backends.
 """
 
 import importlib.util
@@ -48,3 +49,20 @@ def test_engine_and_sink_docstrings_present(check_docs):
 def test_public_all_exports_resolve(check_docs):
     problems = check_docs.audit_all_exports()
     assert problems == []
+
+
+def test_readme_backend_table_matches_registry(check_docs):
+    assert check_docs.check_backend_table() == []
+
+
+def test_backend_table_check_flags_a_stale_row(check_docs, tmp_path):
+    readme = tmp_path / "README.md"
+    readme.write_text(
+        "### Simulation backends\n\n| backend | engine |\n|---|---|\n"
+        "| `compiled` | plan |\n| `vectorized` | numpy |\n| `lowered` | codegen |\n"
+        "\n## Next\n"
+    )
+    assert check_docs.check_backend_table(str(readme)) == [
+        "README backend table lists unregistered backend 'lowered'",
+        "README backend table misses registered backend 'reference'",
+    ]

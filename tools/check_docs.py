@@ -5,7 +5,7 @@ Run from the repository root (CI does, see ``.github/workflows/ci.yml``)::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Two checks, both offline:
+Three checks, all offline:
 
 1. **Markdown link check** — every relative link of ``README.md`` and
    ``docs/*.md`` must point at an existing file or directory of the
@@ -15,9 +15,12 @@ Two checks, both offline:
    ``repro.sig.sinks``, and every public name they export via ``__all__``,
    must carry a docstring; ``__all__`` itself is audited (each listed name
    must resolve).
+3. **Backend table** — the README's "Simulation backends" table names
+   exactly the registered backends (``repro.sig.engine.backend_names()``),
+   so the docs cannot advertise a deleted backend.
 
 The same functions are exercised by ``tests/test_docs.py``, so the tier-1
-suite enforces both checks locally as well.
+suite enforces every check locally as well.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ DOCUMENTED_MODULES = [
     "repro.sig.engine.backends",
     "repro.sig.engine.batch",
     "repro.sig.engine.faults",
-    "repro.sig.engine.lowered",
     "repro.sig.engine.plan",
     "repro.sig.engine.supervisor",
     "repro.sig.engine.vectorized",
@@ -81,6 +83,8 @@ AUDITED_MODULES = [
 ]
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_BACKEND_SECTION_RE = re.compile(r"^### Simulation backends\n(.*?)(?=^#)", re.MULTILINE | re.DOTALL)
+_BACKEND_ROW_RE = re.compile(r"^\| `([^`]+)`", re.MULTILINE)
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 
 
@@ -185,9 +189,30 @@ def audit_all_exports(module_names: Optional[List[str]] = None) -> List[str]:
     return problems
 
 
+def check_backend_table(path: Optional[str] = None) -> List[str]:
+    """Return one problem per backend the README table adds or misses."""
+    from repro.sig.engine import backend_names
+
+    path = path or os.path.join(REPO_ROOT, "README.md")
+    section = _BACKEND_SECTION_RE.search(open(path, "r", encoding="utf-8").read())
+    if section is None:
+        return [f"{os.path.relpath(path, REPO_ROOT)}: no 'Simulation backends' section"]
+    documented = set(_BACKEND_ROW_RE.findall(section.group(1)))
+    registered = set(backend_names())
+    return [
+        f"README backend table lists unregistered backend {name!r}"
+        for name in sorted(documented - registered)
+    ] + [
+        f"README backend table misses registered backend {name!r}"
+        for name in sorted(registered - documented)
+    ]
+
+
 def main() -> int:
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-    problems = check_markdown_links() + check_docstrings() + audit_all_exports()
+    problems = (
+        check_markdown_links() + check_docstrings() + audit_all_exports() + check_backend_table()
+    )
     for problem in problems:
         print(f"FAIL {problem}")
     if problems:
