@@ -2,8 +2,9 @@
 
 E18 showed that a *resident* service amortises the toolchain; this gate
 covers the case E18 cannot: the process restarts.  ``repro.store``
-persists the analysed toolchain payload (and the per-subprocess clock
-extractions) under a structural fingerprint, so a **second process**
+persists the analysed toolchain payload (the ``toolchain`` artifact,
+plus a raw-source ``index`` entry) under a structural fingerprint, so a
+**second process**
 skips parsing, translation and every analysis and pays only hash +
 unpickle + plan compilation:
 

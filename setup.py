@@ -47,10 +47,6 @@ setup(
         # on fastapi + uvicorn; the framework-free service core works
         # without them.  httpx powers the no-socket ASGI test client.
         "serve": ["fastapi", "uvicorn", "httpx"],
-        # Fleet-scale sweeps (repro.sweep / `repro sweep`) soft-depend on
-        # pyarrow for parquet shards with predicate pushdown; without it
-        # the shard store degrades to a pure-stdlib JSONL format.
-        "sweep": ["pyarrow"],
     },
     entry_points={
         "console_scripts": [

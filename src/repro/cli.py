@@ -447,7 +447,12 @@ def cmd_cache(args: argparse.Namespace) -> int:
     # Lazy import: the store package is only needed by cache users.
     from .store import ArtifactStore, default_cache_dir
 
-    store = ArtifactStore(args.dir or default_cache_dir())
+    root = args.dir or default_cache_dir()
+    if os.path.exists(root) and not os.path.isdir(root):
+        _usage_error(f"cache directory {root!r} is not a directory")
+    if args.cache_command == "prune" and not args.max_size_mb >= 0:
+        _usage_error(f"--max-size-mb must be non-negative, got {args.max_size_mb:g}")
+    store = ArtifactStore(root)
     if args.cache_command == "stats":
         stats = store.stats()
         print(f"persistent cache at {stats['root']}")
@@ -497,8 +502,7 @@ def _parse_predicate(text: str):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # Lazy import in the house style; the sweep package itself needs no
-    # optional dependency (pyarrow only upgrades the shard format).
+    # Lazy import in the house style.
     from .sweep import SweepResultStore, run_sweep, stimulus_space
     from .sweep.shards import dumps_json
 
@@ -530,11 +534,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 timeout=args.timeout,
                 retries=args.retries,
                 max_failures=args.max_failures,
-                shard_format=args.format,
                 resume=args.resume,
             )
         except RuntimeError as exc:
-            raise SystemExit(f"error: {exc}")
+            # An existing manifest without --resume, or one that does not
+            # match this run: the user picked the wrong directory or flags.
+            _usage_error(str(exc))
         print(sweep_result.summary())
         if sweep_result.aggregate is not None:
             print(sweep_result.aggregate.summary(limit=10))
@@ -854,11 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also record a change-log table over the comma-separated SIGNALS",
     )
     sweep_run.add_argument(
-        "--format", default="auto", choices=["auto", "parquet", "jsonl"],
-        help="shard format (default auto: parquet when pyarrow is installed, "
-        "jsonl otherwise)",
-    )
-    sweep_run.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="supervise each partition with a per-scenario wall-clock timeout",
     )
@@ -893,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_query.add_argument(
         "--where", action="append", metavar="COL=VALUE",
         help="filter clause (repeatable): column=value, column!=value, "
-        "column<=value... — pushed into the parquet scan where possible",
+        "column<=value...",
     )
     sweep_query.add_argument(
         "--limit", type=int, default=None, metavar="N",

@@ -41,7 +41,7 @@ from ..sig.analysis import (
     check_determinism,
     detect_deadlocks,
 )
-from ..sig.calculus_modular import ExtractionCache, ModularClockCalculus, ModularStats
+from ..sig.calculus_modular import ModularClockCalculus, ModularStats
 from ..sig.engine import DEFAULT_BACKEND, create_backend, default_scenario
 from ..sig.process import Direction, ProcessModel
 from ..sig.profiling import GENERIC_PROCESSOR, CostModel, DynamicProfile, Profiler
@@ -158,8 +158,8 @@ class ToolchainResult:
     #: Structural fingerprint of this run in the persistent store (empty
     #: when the run was not keyed — no store, or unkeyable options).
     store_fingerprint: str = ""
-    #: Shape of the modular clock-calculus run (extraction memo/disk
-    #: counters; ``None`` on store hits, where no calculus ran at all).
+    #: Shape of the modular clock-calculus run (extraction memo counters;
+    #: ``None`` on store hits, where no calculus ran at all).
     calculus_stats: Optional[ModularStats] = None
 
     @property
@@ -300,13 +300,10 @@ def run_toolchain(
     # 5. formal analyses on the flattened system model.  The clock calculus
     # runs modularly over the untouched process tree (identical results to
     # the flat solver, enforced by the parity tests, at a fraction of the
-    # cost on large models); with a store, its per-subprocess extractions
-    # hit and fill the persistent disk tier.
+    # cost on large models).
     flat = translation.system_model.flatten()
     result.flat_model = flat
-    calculus = ModularClockCalculus(
-        translation.system_model, cache=ExtractionCache(store=store)
-    )
+    calculus = ModularClockCalculus(translation.system_model)
     result.clock_report = build_clock_report(flat, result=calculus.run())
     result.calculus_stats = calculus.stats
     result.determinism = check_determinism(flat)

@@ -189,31 +189,17 @@ class ExtractionCache:
     identical subprocess models — the typical translated thread/port shapes —
     share one extraction however many times they are instantiated, and across
     analysis runs when the cache object is reused.
-
-    With a *store* (:class:`repro.store.ArtifactStore`) the memo gains a
-    **disk tier**: extractions missing in memory are looked up on disk under
-    a hash of the same structural key before being computed, and computed
-    ones are published back.  This is what makes re-analysis *incremental
-    across processes*: an edited model re-solves only subtrees whose shape
-    changed, and different models sharing subtrees (every translated thread
-    instantiates the same port/observer shapes) reuse each other's work.
-    :attr:`hits` and :attr:`misses` keep their in-memory meaning — a miss is
-    an extraction actually computed — while disk reuse is counted separately
-    in :attr:`disk_hits` / :attr:`disk_writes`.
     """
 
-    def __init__(self, store: Optional[Any] = None) -> None:
+    def __init__(self) -> None:
         self._extractions: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], _LocalExtraction] = {}
         # id(model) -> (model, shape).  The strong reference to the model is
         # what keeps the id from being recycled for a different object while
         # the entry exists — without it a cache shared across runs could
         # return the fingerprint of a dead, structurally different model.
         self._shapes: Dict[int, Tuple[ProcessModel, Tuple[str, FrozenSet[str]]]] = {}
-        self.store = store
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
-        self.disk_writes = 0
 
     def _shape(self, model: ProcessModel) -> Tuple[str, FrozenSet[str]]:
         """Fingerprint + parameter-relevant names of *model*, cached by id."""
@@ -245,21 +231,6 @@ class ExtractionCache:
         if extraction is not None:
             self.hits += 1
             return extraction
-        if self.store is not None:
-            from ..store import KIND_EXTRACTION, extraction_key
-
-            disk_key = extraction_key(fingerprint, params_key)
-            cached = self.store.load(KIND_EXTRACTION, disk_key)
-            if isinstance(cached, _LocalExtraction):
-                self.disk_hits += 1
-                self._extractions[key] = cached
-                return cached
-            self.misses += 1
-            extraction = _extract_local(model, substitution)
-            self._extractions[key] = extraction
-            if self.store.save(KIND_EXTRACTION, disk_key, extraction):
-                self.disk_writes += 1
-            return extraction
         self.misses += 1
         extraction = _extract_local(model, substitution)
         self._extractions[key] = extraction
@@ -276,27 +247,15 @@ class ModularStats:
     subprocesses: int = 0
     extraction_hits: int = 0
     extraction_misses: int = 0
-    #: Extractions restored from the persistent store's disk tier (0 when the
-    #: cache runs without a store).
-    extraction_disk_hits: int = 0
-    #: Freshly computed extractions published to the disk tier.
-    extraction_disk_writes: int = 0
     renamed_instances: int = 0
     direct_instances: int = 0  # non-injective renames re-extracted in place
     resolution: str = ""
 
     def summary(self) -> str:
-        disk = ""
-        if self.extraction_disk_hits or self.extraction_disk_writes:
-            disk = (
-                f"{self.extraction_disk_hits} disk hit(s), "
-                f"{self.extraction_disk_writes} disk write(s), "
-            )
         return (
             f"modular clock calculus: {self.subprocesses} subprocess(es), "
             f"{self.extraction_misses} extraction(s) computed, "
             f"{self.extraction_hits} memo hit(s), "
-            f"{disk}"
             f"{self.direct_instances} non-injective instance(s), "
             f"resolution {self.resolution or '?'}"
         )
@@ -330,12 +289,9 @@ class ModularClockCalculus:
     # ------------------------------------------------------------------
     def run(self) -> ClockCalculusResult:
         hits0, misses0 = self.cache.hits, self.cache.misses
-        disk_hits0, disk_writes0 = self.cache.disk_hits, self.cache.disk_writes
         self._walk(self.process, rename={}, prefix="", top=True, substitution={})
         self.stats.extraction_hits = self.cache.hits - hits0
         self.stats.extraction_misses = self.cache.misses - misses0
-        self.stats.extraction_disk_hits = self.cache.disk_hits - disk_hits0
-        self.stats.extraction_disk_writes = self.cache.disk_writes - disk_writes0
         extracted = _ExtractedConstraints(
             synchronous_pairs=self._sync,
             defined_clock=self._defined,

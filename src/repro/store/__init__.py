@@ -8,15 +8,12 @@ runs and freshly started servers all warm-start from
 ``~/.cache/repro`` (or ``REPRO_CACHE_DIR``) when the exact model — by
 structural fingerprint — was analysed before, by anyone.
 
-Three consumers share the store:
+Two consumers share the store:
 
 * :func:`~repro.core.toolchain.run_toolchain` checks it before analysing
   (``store=`` option; the CLI enables it by default, ``--no-cache`` opts
-  out) and publishes its analysis payload back on a miss;
-* :class:`~repro.sig.calculus_modular.ExtractionCache` gains a disk tier:
-  per-subprocess clock-calculus extractions persist under structural shape
-  keys, so an *edited* model re-solves only the subtrees whose shape
-  changed and different models sharing subtrees reuse each other's work;
+  out) and publishes its analysis payload (``toolchain`` kind) and a
+  raw-source shortcut (``index`` kind) back on a miss;
 * :class:`~repro.serve.service.SimulationService` passes the store through
   to the toolchain, making the in-memory plan cache the front of the disk
   tier (miss → disk → compile, compiled entries published back).
@@ -37,10 +34,8 @@ from .artifacts import (
     resolve_store,
 )
 from .toolchain import (
-    KIND_EXTRACTION,
     KIND_INDEX,
     KIND_TOOLCHAIN,
-    extraction_key,
     toolchain_fingerprint,
     toolchain_options_key,
     toolchain_raw_key,
@@ -48,13 +43,11 @@ from .toolchain import (
 
 __all__ = [
     "ArtifactStore",
-    "KIND_EXTRACTION",
     "KIND_INDEX",
     "KIND_TOOLCHAIN",
     "SCHEMA_REV",
     "default_cache_dir",
     "default_store",
-    "extraction_key",
     "resolve_store",
     "toolchain_fingerprint",
     "toolchain_options_key",

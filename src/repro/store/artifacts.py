@@ -26,7 +26,10 @@ The store location resolves, in order: an explicit ``root=`` argument, the
 ``REPRO_CACHE_DIR`` environment variable, ``$XDG_CACHE_HOME/repro``, and
 finally ``~/.cache/repro``.  Setting ``REPRO_CACHE_DISABLE=1`` makes
 :func:`resolve_store` return ``None`` for boolean settings, turning every
-would-be cache user into a plain recompute path.
+would-be cache user into a plain recompute path.  Loading unpickles, so
+:func:`resolve_store` also refuses a default root that another user owns or
+that group or others may write (one ``RuntimeWarning``, store disabled),
+and creates a missing one private (mode ``0o700``).
 """
 
 from __future__ import annotations
@@ -35,10 +38,11 @@ import io
 import json
 import os
 import pickle
-import pickletools
+import stat
 import sys
 import tempfile
 import threading
+import warnings
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 try:  # advisory locking is POSIX-only; the store degrades without it
@@ -99,21 +103,56 @@ def default_store() -> "ArtifactStore":
     return ArtifactStore(default_cache_dir())
 
 
+def _unsafe_root(root: str) -> Optional[str]:
+    """Why *root* must not back the default store, or ``None`` when it may.
+
+    A missing root is created with mode ``0o700``.  An existing one must be
+    a directory owned by the current user and not writable by group or
+    others: anyone who can plant a file there could make us unpickle it.
+    """
+    try:
+        os.makedirs(root, mode=0o700)
+    except FileExistsError:
+        pass
+    except OSError as exc:
+        return f"cannot be created ({exc.strerror or exc})"
+    try:
+        status = os.stat(root)
+    except OSError as exc:
+        return f"cannot be inspected ({exc.strerror or exc})"
+    if not stat.S_ISDIR(status.st_mode):
+        return "is not a directory"
+    if hasattr(os, "getuid") and status.st_uid != os.getuid():
+        return "is owned by another user"
+    if status.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        return "is writable by group or others"
+    return None
+
+
 def resolve_store(setting: Any) -> Optional["ArtifactStore"]:
     """Coerce a ``store=`` option into an :class:`ArtifactStore` or ``None``.
 
-    ``None``/``False`` disable persistence; ``True`` means "the default
-    per-user store" (unless ``REPRO_CACHE_DISABLE`` is set, which forces
-    ``None`` so one environment variable can neutralise every cache user —
-    CI and bisections rely on that); an :class:`ArtifactStore` instance is
-    returned as-is.
+    ``None``/``False`` disable persistence.  ``True`` means "the default
+    per-user store", except that it gives ``None`` when
+    ``REPRO_CACHE_DISABLE`` is set (one environment variable neutralises
+    every cache user — CI and bisections rely on that) or when the default
+    root is unsafe (see :func:`_unsafe_root`; one ``RuntimeWarning`` names
+    the path).  An :class:`ArtifactStore` instance is returned as-is: its
+    root is the caller's choice.
     """
     if setting is None or setting is False:
         return None
     if setting is True:
         if os.environ.get("REPRO_CACHE_DISABLE"):
             return None
-        return default_store()
+        root = default_cache_dir()
+        reason = _unsafe_root(root)
+        if reason is not None:
+            warnings.warn(
+                f"persistent cache disabled: {root} {reason}", RuntimeWarning, stacklevel=2
+            )
+            return None
+        return ArtifactStore(root)
     if isinstance(setting, ArtifactStore):
         return setting
     raise TypeError(
@@ -133,11 +172,8 @@ class ArtifactStore:
     and surface through :meth:`stats`.
     """
 
-    def __init__(self, root: Optional[str] = None, max_size_mb: Optional[float] = None) -> None:
+    def __init__(self, root: Optional[str] = None) -> None:
         self.root = os.path.abspath(root or default_cache_dir())
-        #: When set, :meth:`save` prunes the store back under this budget
-        #: after publishing (the CLI exposes the one-shot form instead).
-        self.max_size_mb = max_size_mb
         self._counter_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -234,9 +270,7 @@ class ArtifactStore:
         optimisation, never a correctness requirement.
         """
         try:
-            payload = pickletools.optimize(
-                pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
-            )
+            payload = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             self._count("write_errors")
             return False
@@ -262,8 +296,6 @@ class ArtifactStore:
             self._count("write_errors")
             return False
         self._count("writes")
-        if self.max_size_mb is not None:
-            self.prune(self.max_size_mb)
         return True
 
     def _locked(self):

@@ -13,12 +13,12 @@ process all converge on **the same keys** for the same model:
   flattened system model) a warm process restores instead of re-analysing;
 * the **raw-source key** — sha-256 over the source bytes plus the same
   options — keys a tiny ``index`` artifact mapping to the structural
-  fingerprint, so byte-identical re-runs skip even the parse;
-* the **extraction key** — sha-256 over a subprocess's structural shape
-  plus its parameter bindings — keys individual ``extraction`` artifacts,
-  the incremental half: an edited model re-solves only the subtrees whose
-  shape changed, and *different* models sharing subtrees reuse each
-  other's extractions.
+  fingerprint, so byte-identical re-runs skip even the parse.
+
+Those two kinds are all the toolchain writes.  The modular clock calculus
+memoises its per-subprocess extractions in memory only: loading them from
+disk measured no faster than recomputing them (docs/PERFORMANCE.md,
+"Persistent cache: cold path").
 
 Only the options that change the analysis artefacts participate in the
 keys (root, package, validation strictness, scheduler synthesis settings);
@@ -35,14 +35,11 @@ imports ``repro.core.toolchain`` — lazy imports break the cycle.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Optional, Tuple
 
 __all__ = [
-    "KIND_EXTRACTION",
     "KIND_INDEX",
     "KIND_TOOLCHAIN",
-    "extraction_key",
     "toolchain_fingerprint",
     "toolchain_options_key",
     "toolchain_raw_key",
@@ -52,8 +49,6 @@ __all__ = [
 KIND_TOOLCHAIN = "toolchain"
 #: Artifact kind of the raw-source → fingerprint shortcut entries.
 KIND_INDEX = "index"
-#: Artifact kind of per-subprocess clock-calculus extractions.
-KIND_EXTRACTION = "extraction"
 
 
 def toolchain_options_key(options: Any) -> Optional[Tuple[Any, ...]]:
@@ -93,17 +88,3 @@ def toolchain_fingerprint(canonical: str, options_key: Tuple[Any, ...]) -> str:
 
     return model_fingerprint(canonical, options_key)
 
-
-def extraction_key(shape_fingerprint: str, params_key: Tuple[Any, ...]) -> str:
-    """The disk key of one memoised subprocess extraction.
-
-    *shape_fingerprint* is :class:`~repro.sig.calculus_modular.ExtractionCache`'s
-    structural shape string (equation/constraint reprs — stable across
-    processes, the expression types are frozen dataclasses) and
-    *params_key* its sorted ``(name, repr(value))`` parameter bindings.
-    """
-    digest = hashlib.sha256()
-    digest.update(shape_fingerprint.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(repr(params_key).encode("utf-8"))
-    return digest.hexdigest()

@@ -1,4 +1,4 @@
-"""Fleet-scale scenario sweeps: out-of-core execution, columnar results.
+"""Fleet-scale scenario sweeps: out-of-core execution, sharded results.
 
 Symbolic scenarios (PR 5) made a million scenarios a few kilobytes to
 *describe* and the supervised engine (PRs 2/7) made each one cheap to
@@ -12,29 +12,21 @@ in-memory list of traces, a sweep flows through three layers:
 * :mod:`repro.sweep.executor` — :func:`run_sweep` slices a space into
   bounded partitions, drives each through ``simulate_batch`` (backend
   prepared once, full PR 7 supervision, streaming sinks only) and flushes
-  per-partition **columnar shards** plus an atomically-committed manifest:
+  per-partition **JSONL table shards** plus an atomically-committed manifest:
   peak memory is flat in the scenario count (the E20 gate), and an
   interrupted sweep resumes from the manifest with crash debris
   quarantined;
 * :mod:`repro.sweep.store` — :class:`SweepResultStore` queries the shards
-  out-of-core (column projection + predicate pushdown on parquet shards,
-  streaming readers on the pure-stdlib jsonl fallback) and serves the
-  sweep-level merged statistics straight from the manifest.
+  out-of-core (shards stream line by line, predicates and column
+  projection applied per row) and serves the sweep-level merged
+  statistics straight from the manifest.
 
-pyarrow is a **soft dependency** (the ``sweep`` extra): importing this
-package, running sweeps and querying stores all work without it, on the
-jsonl shard format; with it, shards are parquet.  The CLI front end is
-``repro sweep`` (run / query / info).
+The package is pure stdlib.  The CLI front end is ``repro sweep`` (run /
+query / info).
 """
 
 from .executor import ProgressCallback, SweepResult, run_sweep
-from .shards import (
-    PYARROW_FALLBACK_MESSAGE,
-    SHARD_FORMATS,
-    ShardWriter,
-    pyarrow_available,
-    resolve_shard_format,
-)
+from .shards import SHARD_FORMAT, ShardWriter
 from .spaces import (
     ChainSpace,
     GridSpace,
@@ -48,17 +40,14 @@ from .store import SweepResultStore
 __all__ = [
     "ChainSpace",
     "GridSpace",
-    "PYARROW_FALLBACK_MESSAGE",
     "ProgressCallback",
     "RandomSpace",
-    "SHARD_FORMATS",
+    "SHARD_FORMAT",
     "ScenarioSpace",
     "ShardWriter",
     "StimulusBuilder",
     "SweepResult",
     "SweepResultStore",
-    "pyarrow_available",
-    "resolve_shard_format",
     "run_sweep",
     "stimulus_space",
 ]

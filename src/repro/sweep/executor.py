@@ -14,7 +14,7 @@ of the sweep in memory:
    :class:`~repro.sig.sinks.StatisticsSink` (plus a
    :class:`~repro.sig.sinks.DeltaSink` when ``deltas=`` watches signals)
    and no trace is ever materialised, in any process;
-3. the partition's rows are flushed as columnar shards
+3. the partition's rows are flushed as JSONL table shards
    (:class:`~repro.sweep.shards.ShardWriter`, atomic rename), the running
    sweep aggregate absorbs the partition's statistics via the documented
    :meth:`~repro.sig.sinks.TraceStatistics.merge`, and the manifest is
@@ -58,13 +58,7 @@ from .manifest import (
     serialize_aggregate,
     write_manifest,
 )
-from .shards import (
-    ShardWriter,
-    delta_rows,
-    resolve_shard_format,
-    scenario_row,
-    statistics_rows,
-)
+from .shards import SHARD_FORMAT, ShardWriter, delta_rows, scenario_row, statistics_rows
 from .spaces import ScenarioSpace
 
 #: Progress callback: called with an event name (``"partition-start"``,
@@ -104,7 +98,7 @@ class SweepResult:
 
     #: The sweep directory (shards + manifest).
     directory: str
-    #: Resolved shard format (``"parquet"`` or ``"jsonl"``).
+    #: Shard format of the store (always ``"jsonl"``).
     shard_format: str
     #: Total scenarios of the space.
     count: int
@@ -180,7 +174,6 @@ def _base_manifest(
     *,
     count: int,
     partition_size: int,
-    shard_format: str,
     record: Optional[List[str]],
     length: Optional[int],
     deltas: Optional[Tuple[str, ...]],
@@ -194,7 +187,7 @@ def _base_manifest(
         "space_fingerprint": space.fingerprint(),
         "count": count,
         "partition_size": partition_size,
-        "shard_format": shard_format,
+        "shard_format": SHARD_FORMAT,
         "record": record,
         "length": length,
         "deltas": list(deltas) if deltas is not None else None,
@@ -215,7 +208,6 @@ def _check_resumable(manifest: Dict[str, Any], fresh: Dict[str, Any]) -> None:
         "space_fingerprint",
         "count",
         "partition_size",
-        "shard_format",
         "record",
         "length",
         "deltas",
@@ -246,7 +238,7 @@ def run_sweep(
     max_failures: Optional[int] = None,
     scenario_budget: Any = None,
     fault_plan: Any = None,
-    shard_format: str = "auto",
+    shard_format: str = SHARD_FORMAT,
     resume: bool = False,
     progress: Optional[ProgressCallback] = None,
 ) -> SweepResult:
@@ -264,9 +256,9 @@ def run_sweep(
     (a ``fault_plan``'s indices are batch-local to each partition), with
     faults re-keyed to global scenario ids in the ``scenarios`` table.
 
-    ``shard_format`` is ``"auto"`` (parquet when pyarrow is importable,
-    jsonl otherwise), ``"parquet"`` or ``"jsonl"``.  An existing manifest
-    is refused unless ``resume=True``, in which case completed partitions
+    ``shard_format`` must be ``"jsonl"``, the only shard format (the
+    argument stays for callers that name it).  An existing manifest is
+    refused unless ``resume=True``, in which case completed partitions
     are skipped, crash debris is quarantined, and only the missing
     partitions execute — producing the same store an uninterrupted run
     would have.  ``progress`` observes partition lifecycle events (see
@@ -279,17 +271,19 @@ def run_sweep(
         raise ValueError(f"partition_size must be positive, got {partition_size}")
     record_list = list(record) if record is not None else None
     deltas_tuple = tuple(deltas) if deltas is not None else None
-    fmt = resolve_shard_format(shard_format)
+    if shard_format != SHARD_FORMAT:
+        raise ValueError(
+            f"unknown shard format {shard_format!r}; sweeps write {SHARD_FORMAT!r} shards"
+        )
     count = len(space)
     total_partitions = math.ceil(count / partition_size) if count else 0
 
-    writer = ShardWriter(out, fmt)  # creates the directory
+    writer = ShardWriter(out)  # creates the directory
     fresh = _base_manifest(
         process.name,
         space,
         count=count,
         partition_size=partition_size,
-        shard_format=fmt,
         record=record_list,
         length=length,
         deltas=deltas_tuple,
@@ -313,7 +307,7 @@ def run_sweep(
     aggregate = deserialize_aggregate(manifest.get("aggregate"))
     result = SweepResult(
         directory=out,
-        shard_format=fmt,
+        shard_format=SHARD_FORMAT,
         count=count,
         partition_size=partition_size,
         partitions=total_partitions,

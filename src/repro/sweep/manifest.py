@@ -33,7 +33,7 @@ import tempfile
 from typing import Any, Dict, List, Optional
 
 from ..sig.sinks import SignalStatistics, TraceStatistics
-from .shards import parse_shard_name, unwrap_value, wrap_value
+from .shards import SHARD_FORMAT, parse_shard_name, unwrap_value, wrap_value
 
 #: File name of the manifest inside a sweep directory.
 MANIFEST_NAME = "manifest.json"
@@ -51,7 +51,12 @@ def manifest_path(directory: str) -> str:
 
 
 def load_manifest(directory: str) -> Optional[Dict[str, Any]]:
-    """Load a sweep directory's manifest (``None`` when absent)."""
+    """Load a sweep directory's manifest (``None`` when absent).
+
+    A manifest of another schema version, or one naming a shard format
+    other than :data:`~repro.sweep.shards.SHARD_FORMAT`, is refused with a
+    ``RuntimeError``: its shards cannot be read or extended.
+    """
     path = manifest_path(directory)
     if not os.path.exists(path):
         return None
@@ -62,6 +67,12 @@ def load_manifest(directory: str) -> Optional[Dict[str, Any]]:
         raise RuntimeError(
             f"sweep manifest {path} has version {version!r}; this build "
             f"reads version {MANIFEST_VERSION}"
+        )
+    shard_format = manifest.get("shard_format")
+    if shard_format != SHARD_FORMAT:
+        raise RuntimeError(
+            f"sweep manifest {path} names shard format {shard_format!r}; this "
+            f"build reads only {SHARD_FORMAT!r} shards"
         )
     return manifest
 

@@ -1,14 +1,10 @@
-"""Post-hoc queries over a sweep's shard store — out-of-core, both formats.
+"""Post-hoc queries over a sweep's shard store — out-of-core.
 
 :class:`SweepResultStore` opens a sweep directory written by
-:func:`~repro.sweep.executor.run_sweep` and scans its shards **one at a
-time**: a query's resident set is bounded by one partition whatever the
-sweep size.  On parquet shards the column projection and the
-plain-column predicates are pushed into the scan
-(``pyarrow.parquet.read_table(columns=..., filters=...)``); on the jsonl
-fallback each shard streams line by line with the same predicates
-evaluated in Python — both paths yield identical decoded rows, which the
-format-parity tests (and the no-arrow CI job) enforce.
+:func:`~repro.sweep.executor.run_sweep` and scans its JSONL shards **one at
+a time**, line by line, evaluating predicates and the column projection
+per row: a query's resident set is one row whatever the sweep size.  A
+manifest naming another shard format is refused on open.
 
 Queries speak the small predicate language of
 :func:`~repro.sweep.shards.normalize_where`: ``where={"signal": "alarm"}``
@@ -47,7 +43,7 @@ class SweepResultStore:
     # -- manifest accessors ------------------------------------------------
     @property
     def shard_format(self) -> str:
-        """The store's shard format (``"parquet"`` or ``"jsonl"``)."""
+        """The store's shard format (always ``"jsonl"``)."""
         return self.manifest["shard_format"]
 
     @property
@@ -80,8 +76,8 @@ class SweepResultStore:
 
         Rows arrive in (partition, row) order — i.e. ascending scenario id
         — decoded to exact Python values; *columns* projects them, *where*
-        filters them (pushed into the parquet scan where possible) and
-        *limit* stops the scan early.  Memory is bounded by one shard.
+        filters them and *limit* stops the scan early.  Memory is bounded
+        by one row.
         """
         if table not in TABLES:
             raise ValueError(f"unknown table {table!r}; expected one of {TABLES}")
@@ -93,9 +89,7 @@ class SweepResultStore:
             if name is None:  # e.g. a sweep that watched no deltas
                 continue
             path = os.path.join(self.directory, name)
-            for row in iter_shard_rows(
-                path, table, self.shard_format, columns=columns, predicates=predicates
-            ):
+            for row in iter_shard_rows(path, table, columns=columns, predicates=predicates):
                 yield row
                 yielded += 1
                 if limit is not None and yielded >= limit:

@@ -258,6 +258,10 @@ class TestSweepStoreBadInputs:
         "missing-directory": (None, "holds no sweep manifest"),
         "no-manifest": ("", "holds no sweep manifest"),
         "corrupt-manifest": ("{", "cannot open sweep store: Expecting"),
+        "other-shard-format": (
+            '{"version": 1, "shard_format": "parquet"}',
+            "names shard format 'parquet'; this build reads only 'jsonl' shards",
+        ),
     }
 
     @staticmethod
@@ -286,3 +290,38 @@ class TestSweepStoreBadInputs:
     def test_unparsable_where_is_a_clean_usage_error(self, tmp_path, capsys):
         err = self._run(["sweep", "query", str(tmp_path), "--where", "status"], capsys)
         assert err.startswith("error: cannot parse --where clause 'status'")
+
+
+class TestCacheBadInputs:
+    """``repro cache`` turns a cache directory that is a regular file, or a
+    negative prune budget, into one ``error:`` line and exit code 2."""
+
+    BAD_CACHES = {
+        "dir-is-a-file": (["--dir", "{regular_file}", "stats"], "is not a directory"),
+        "dir-is-a-file-clear": (["--dir", "{regular_file}", "clear"], "is not a directory"),
+        "negative-budget": (
+            ["--dir", "{cache_dir}", "prune", "--max-size-mb", "-3"],
+            "--max-size-mb must be non-negative, got -3",
+        ),
+        "nan-budget": (
+            ["--dir", "{cache_dir}", "prune", "--max-size-mb", "nan"],
+            "--max-size-mb must be non-negative",
+        ),
+    }
+
+    @pytest.mark.parametrize("bad_cache", sorted(BAD_CACHES))
+    def test_bad_cache_is_a_clean_usage_error(self, bad_cache, tmp_path, capsys):
+        regular_file = tmp_path / "not-a-dir"
+        regular_file.write_text("x")
+        args, message = self.BAD_CACHES[bad_cache]
+        argv = ["cache"] + [
+            arg.format(regular_file=regular_file, cache_dir=tmp_path / "cache") for arg in args
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert regular_file.read_text() == "x"

@@ -178,6 +178,11 @@ def test_prune_evicts_least_recently_used_first(store):
     assert not os.path.exists(store.path_for("k", "bb"))
     assert os.path.exists(store.path_for("k", "cc"))
     assert os.path.exists(store.path_for("k", "dd"))
+    # A store filled well past a budget prunes back under it.
+    for index in range(30):
+        store.save("k", f"{index:02d}key", payload)
+    store.prune(max_size_mb=10 * 4200 / (1024.0 * 1024.0))
+    assert store.stats()["entries"] <= 10
 
 
 def test_prune_to_zero_clears_everything(store):
@@ -187,21 +192,13 @@ def test_prune_to_zero_clears_everything(store):
     assert store.stats()["entries"] == 0
 
 
-def test_auto_prune_budget_on_save(tmp_path):
-    store = ArtifactStore(str(tmp_path), max_size_mb=10 * 4200 / (1024.0 * 1024.0))
-    payload = os.urandom(4096)
-    for index in range(30):
-        store.save("k", f"{index:02d}key", payload)
-    assert store.stats()["entries"] <= 10
-
-
 def test_stats_census(store):
     store.save("toolchain", "aa", 1)
-    store.save("extraction", "bb", 2)
-    store.save("extraction", "cc", 3)
+    store.save("index", "bb", 2)
+    store.save("index", "cc", 3)
     stats = store.stats()
     assert stats["entries"] == 3
-    assert stats["kinds"]["extraction"]["entries"] == 2
+    assert stats["kinds"]["index"]["entries"] == 2
     assert stats["kinds"]["toolchain"]["entries"] == 1
     assert stats["bytes"] > 0
     assert stats["root"] == store.root
@@ -235,6 +232,64 @@ def test_resolve_store_settings(monkeypatch, tmp_path):
     assert resolve_store(explicit) is explicit  # explicit instances still win
     with pytest.raises(TypeError):
         resolve_store("~/.cache/repro")
+
+
+# ----------------------------------------------------------------------
+# default root safety: the store unpickles, so it must own its directory
+# ----------------------------------------------------------------------
+def test_missing_default_root_is_created_private(monkeypatch, tmp_path):
+    root = tmp_path / "fresh" / "repro"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    resolved = resolve_store(True)
+    assert isinstance(resolved, ArtifactStore) and resolved.root == str(root)
+    assert os.stat(root).st_mode & 0o777 == 0o700
+
+
+@pytest.mark.parametrize("mode", [0o770, 0o707, 0o777, 0o720, 0o702])
+def test_group_or_world_writable_default_root_disables_the_store(monkeypatch, tmp_path, mode):
+    root = tmp_path / "shared"
+    root.mkdir()
+    ArtifactStore(str(root)).save("toolchain", "ab" * 32, {"planted": True})
+    os.chmod(root, mode)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    with pytest.warns(RuntimeWarning) as caught:
+        assert resolve_store(True) is None
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    assert str(root) in message and "writable by group or others" in message
+    os.chmod(root, 0o700)
+    assert isinstance(resolve_store(True), ArtifactStore)
+
+
+def test_default_root_owned_by_another_user_disables_the_store(monkeypatch, tmp_path):
+    root = tmp_path / "theirs"
+    root.mkdir(mode=0o700)
+    os.chmod(root, 0o700)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    other_uid = os.stat(root).st_uid + 1
+    monkeypatch.setattr(os, "getuid", lambda: other_uid)
+    with pytest.warns(RuntimeWarning, match="is owned by another user") as caught:
+        assert resolve_store(True) is None
+    assert len(caught) == 1 and str(root) in str(caught[0].message)
+
+
+def test_default_root_that_is_a_file_disables_the_store(monkeypatch, tmp_path):
+    root = tmp_path / "file"
+    root.write_text("x")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    with pytest.warns(RuntimeWarning, match="is not a directory"):
+        assert resolve_store(True) is None
+
+
+def test_explicit_store_root_is_the_callers_choice(monkeypatch, tmp_path):
+    root = tmp_path / "shared"
+    root.mkdir()
+    os.chmod(root, 0o777)
+    explicit = ArtifactStore(str(root))
+    assert resolve_store(explicit) is explicit
+    assert explicit.save("toolchain", "ab" * 32, 1) is True
+    assert explicit.load("toolchain", "ab" * 32) == 1
+    os.chmod(root, 0o700)
 
 
 # ----------------------------------------------------------------------

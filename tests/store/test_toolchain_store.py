@@ -69,7 +69,6 @@ def test_warm_restore_is_equivalent_across_store_instances(tmp_path):
     assert cold.store_hit is False
     assert cold.store_fingerprint
     assert cold.calculus_stats is not None
-    assert cold.calculus_stats.extraction_disk_writes > 0
 
     # A fresh store instance over the same directory models a new process.
     warm = run_toolchain(PRODUCER_CONSUMER_AADL, _options(ArtifactStore(root)))
@@ -171,55 +170,31 @@ def test_malformed_payload_dict_recomputes(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# the extraction disk tier: incremental re-analysis across processes
+# what a cold run persists: the analysis payload and its index, nothing else
 # ----------------------------------------------------------------------
-def test_extraction_disk_tier_across_cache_instances(tmp_path, pc_translation):
-    root = str(tmp_path)
-    model = pc_translation.system_model
-
-    first = ModularClockCalculus(model, cache=ExtractionCache(store=ArtifactStore(root)))
-    baseline = first.run()
-    assert first.stats.extraction_misses > 0
-    assert first.stats.extraction_disk_writes == first.stats.extraction_misses
-    assert first.stats.extraction_disk_hits == 0
-
-    # A fresh process (fresh cache, fresh store instance) computes nothing.
-    second = ModularClockCalculus(model, cache=ExtractionCache(store=ArtifactStore(root)))
-    warm = second.run()
-    assert second.stats.extraction_misses == 0
-    assert second.stats.extraction_disk_hits > 0
-    assert warm.same_analysis(baseline)
-    assert "disk hit(s)" in second.stats.summary()
-
-
-def test_edited_model_resolves_only_changed_subtrees(tmp_path):
-    """The incremental half: an edited model re-extracts only what changed."""
-    root = str(tmp_path)
-    original = run_toolchain(PRODUCER_CONSUMER_AADL, _options(ArtifactStore(root)))
-    computed_cold = original.calculus_stats.extraction_misses
-
-    # "Edit" the model: a different consumer period changes the shapes of the
-    # affected subprocesses but leaves every other subtree untouched.
-    edited_source = PRODUCER_CONSUMER_AADL.replace("Period => 6 ms", "Period => 12 ms")
-    assert edited_source != PRODUCER_CONSUMER_AADL
-    edited = run_toolchain(
-        edited_source, _options(ArtifactStore(root), simulate_hyperperiods=0)
-    )
-    assert edited.store_hit is False  # different model, different fingerprint
-    stats = edited.calculus_stats
-    # Most subprocess shapes are shared with the original analysis and come
-    # off disk; only the edited subtrees are extracted again.
-    assert stats.extraction_disk_hits > 0
-    assert stats.extraction_misses < computed_cold
+def test_cold_run_writes_only_toolchain_and_index_kinds(tmp_path):
+    store = ArtifactStore(str(tmp_path / "cache"))
+    cold = run_toolchain(PRODUCER_CONSUMER_AADL, _options(store))
+    assert cold.store_hit is False
+    kinds = store.stats()["kinds"]
+    assert sorted(kinds) == sorted([KIND_TOOLCHAIN, KIND_INDEX])
+    assert kinds[KIND_TOOLCHAIN]["entries"] == 1
+    assert kinds[KIND_INDEX]["entries"] == 1
+    assert store.writes == 2
 
 
 def test_extraction_counters_without_store_unchanged(pc_translation):
     cache = ExtractionCache()
     calculus = ModularClockCalculus(pc_translation.system_model, cache=cache)
     calculus.run()
-    assert cache.disk_hits == 0 and cache.disk_writes == 0
-    assert calculus.stats.extraction_disk_hits == 0
+    assert calculus.stats.extraction_misses == cache.misses > 0
+    assert calculus.stats.extraction_hits == cache.hits
+    assert not hasattr(cache, "disk_hits") and not hasattr(cache, "store")
     assert "disk" not in calculus.stats.summary()
+    # A second run over the same cache computes nothing new.
+    again = ModularClockCalculus(pc_translation.system_model, cache=cache)
+    again.run()
+    assert again.stats.extraction_misses == 0
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +228,7 @@ def test_cli_plan_stats_reports_extraction_counters(tmp_path, monkeypatch, capsy
     assert main(["simulate", "producer_consumer", "--plan-stats"]) == 0
     cold = capsys.readouterr().out
     assert "modular clock calculus:" in cold
-    assert "disk write(s)" in cold
+    assert "extraction(s) computed" in cold and "memo hit(s)" in cold
     assert main(["simulate", "producer_consumer", "--plan-stats"]) == 0
     warm = capsys.readouterr().out
     assert "clock calculus skipped: analyses restored" in warm
@@ -266,7 +241,7 @@ def test_cli_cache_stats_clear_prune(tmp_path, monkeypatch, capsys):
 
     assert main(["cache", "stats"]) == 0
     stats = capsys.readouterr().out
-    assert "toolchain" in stats and "extraction" in stats
+    assert "toolchain" in stats and "extraction" not in stats
 
     assert main(["cache", "prune", "--max-size-mb", "0"]) == 0
     assert "pruned" in capsys.readouterr().out

@@ -36,8 +36,13 @@ class TestSweepParser:
         )
         assert args.scenarios == 1000
         assert args.partition_size == 1024
-        assert args.format == "auto"
         assert args.resume is False
+
+    def test_format_flag_is_gone(self, model_file, tmp_path):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["sweep", "run", model_file, "--out", str(tmp_path / "d"), "--format", "jsonl"]
+            )
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
@@ -50,7 +55,7 @@ class TestSweepCommands:
         code = main([
             "sweep", "run", model_file, "--out", out,
             "--scenarios", "10", "--partition-size", "4",
-            "--length", "40", "--format", "jsonl",
+            "--length", "40",
         ])
         printed = capsys.readouterr().out
         assert code == 0
@@ -107,3 +112,38 @@ class TestSweepCommands:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert lines
         assert all(json.loads(line)["present"] > 0 for line in lines)
+
+
+class TestSweepRunBadInputs:
+    """``sweep run`` into a directory whose manifest it may not extend is
+    one ``error:`` line and exit code 2."""
+
+    BAD_RUNS = {
+        "existing-manifest-without-resume": ([], "already holds a manifest"),
+        "resume-with-another-partition-size": (
+            ["--partition-size", "2", "--resume"],
+            "cannot resume sweep: manifest partition_size is 4",
+        ),
+        "resume-with-another-horizon": (
+            ["--length", "30", "--resume"],
+            "cannot resume sweep: manifest length is 20",
+        ),
+    }
+
+    @pytest.mark.parametrize("bad_run", sorted(BAD_RUNS))
+    def test_bad_run_is_a_clean_usage_error(self, bad_run, model_file, tmp_path, capsys):
+        out = str(tmp_path / "shards")
+        argv = [
+            "sweep", "run", model_file, "--out", out, "--no-cache",
+            "--scenarios", "6", "--partition-size", "4", "--length", "20",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        extra, message = self.BAD_RUNS[bad_run]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + extra)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err

@@ -6,6 +6,7 @@ sinks — while holding only one partition at a time and surviving errors,
 injected faults and interruptions.
 """
 
+import json
 import os
 
 import pytest
@@ -194,6 +195,22 @@ class TestErrorsAndFaults:
         assert list(store.query("statistics")) == expected
 
 
+class TestShardFormat:
+    def test_jsonl_is_the_only_format(self, pipeline_model, tmp_path):
+        space = GridSpace({"period": [1, 2]}, pipeline_scenario)
+        out = str(tmp_path / "sweep")
+        result = run_sweep(pipeline_model, space, out, length=4, shard_format="jsonl")
+        assert result.shard_format == "jsonl"
+        assert load_manifest(out)["shard_format"] == "jsonl"
+        assert sorted(n for n in os.listdir(out) if n != "manifest.json") == [
+            "scenarios-00000.jsonl", "statistics-00000.jsonl",
+        ]
+        for other in ("parquet", "auto"):
+            with pytest.raises(ValueError, match="shard format"):
+                run_sweep(pipeline_model, space, str(tmp_path / other),
+                          length=4, shard_format=other)
+
+
 class TestResume:
     def test_existing_manifest_refused_without_resume(self, pipeline_model, tmp_path):
         space = GridSpace({"period": [1, 2]}, pipeline_scenario)
@@ -222,6 +239,21 @@ class TestResume:
             run_sweep(
                 pipeline_model, space, out, length=4, partition_size=1, resume=True
             )
+
+    def test_manifest_of_another_shard_format_refused(self, pipeline_model, tmp_path):
+        space = GridSpace({"period": [1, 2]}, pipeline_scenario)
+        out = str(tmp_path / "sweep")
+        run_sweep(pipeline_model, space, out, length=4)
+        manifest_file = os.path.join(out, "manifest.json")
+        with open(manifest_file) as handle:
+            manifest = json.load(handle)
+        manifest["shard_format"] = "parquet"
+        with open(manifest_file, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(RuntimeError, match="shard format 'parquet'"):
+            run_sweep(pipeline_model, space, out, length=4, resume=True)
+        with pytest.raises(RuntimeError, match="shard format 'parquet'"):
+            SweepResultStore(out)
 
     def test_interrupted_sweep_resumes_to_identical_results(
         self, pipeline_model, tmp_path

@@ -1,10 +1,4 @@
-"""Columnar shard format: codec round-trips, writers, readers, predicates.
-
-Every test that exercises a reader/writer runs against the jsonl fallback
-(always available); the parquet counterparts run when pyarrow is
-importable and assert the two formats yield identical decoded rows —
-CI proves both sides with and without the 'sweep' extra installed.
-"""
+"""JSONL shard format: codec round-trips, writers, readers, predicates."""
 
 import json
 import os
@@ -14,8 +8,6 @@ import pytest
 from repro.sig.sinks import DeltaLog, SignalStatistics, TraceStatistics
 from repro.sig.values import ABSENT
 from repro.sweep.shards import (
-    PYARROW_FALLBACK_MESSAGE,
-    SHARD_FORMATS,
     ShardWriter,
     decode_row,
     delta_rows,
@@ -23,8 +15,6 @@ from repro.sweep.shards import (
     iter_shard_rows,
     normalize_where,
     parse_shard_name,
-    pyarrow_available,
-    resolve_shard_format,
     row_matches,
     scenario_row,
     shard_name,
@@ -32,11 +22,6 @@ from repro.sweep.shards import (
     unwrap_value,
     wrap_value,
 )
-
-needs_pyarrow = pytest.mark.skipif(
-    not pyarrow_available(), reason="pyarrow not installed"
-)
-
 
 class TestValueCodec:
     def test_wrap_distinguishes_absence_from_falsy_values(self):
@@ -127,32 +112,12 @@ class TestPredicates:
 
 class TestNames:
     def test_shard_name_round_trips(self):
-        for fmt in SHARD_FORMATS:
-            name = shard_name("statistics", 7, fmt)
-            assert parse_shard_name(name) == ("statistics", 7)
+        name = shard_name("statistics", 7)
+        assert name == "statistics-00007.jsonl"
+        assert parse_shard_name(name) == ("statistics", 7)
         assert parse_shard_name("manifest.json") is None
         assert parse_shard_name("bogus-00001.jsonl") is None
         assert parse_shard_name("statistics-x.jsonl") is None
-
-
-class TestFormatResolution:
-    def test_auto_matches_environment(self):
-        expected = "parquet" if pyarrow_available() else "jsonl"
-        assert resolve_shard_format("auto") == expected
-
-    def test_jsonl_always_resolves(self):
-        assert resolve_shard_format("jsonl") == "jsonl"
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_shard_format("csv")
-
-    @pytest.mark.skipif(pyarrow_available(), reason="pyarrow installed")
-    def test_explicit_parquet_without_pyarrow_raises_with_hint(self):
-        with pytest.raises(RuntimeError, match="sweep"):
-            resolve_shard_format("parquet")
-        with pytest.raises(RuntimeError):
-            ShardWriter("/tmp/unused", "parquet")
 
 
 def _sample_rows():
@@ -163,24 +128,24 @@ def _sample_rows():
     ]
 
 
-def _roundtrip(tmp_path, fmt, table, rows):
-    writer = ShardWriter(str(tmp_path / fmt), fmt)
+def _roundtrip(tmp_path, table, rows):
+    writer = ShardWriter(str(tmp_path / "jsonl"))
     name = writer.write(table, 0, rows)
-    return os.path.join(str(tmp_path / fmt), name)
+    return os.path.join(str(tmp_path / "jsonl"), name)
 
 
 class TestJsonlRoundTrip:
     def test_rows_survive_exactly(self, tmp_path):
         rows = _sample_rows()
-        path = _roundtrip(tmp_path, "jsonl", "scenarios", rows)
-        assert list(iter_shard_rows(path, "scenarios", "jsonl")) == rows
+        path = _roundtrip(tmp_path, "scenarios", rows)
+        assert list(iter_shard_rows(path, "scenarios")) == rows
 
     def test_projection_and_predicates(self, tmp_path):
         rows = _sample_rows()
-        path = _roundtrip(tmp_path, "jsonl", "scenarios", rows)
+        path = _roundtrip(tmp_path, "scenarios", rows)
         got = list(
             iter_shard_rows(
-                path, "scenarios", "jsonl",
+                path, "scenarios",
                 columns=["scenario_id"],
                 predicates=[("status", "!=", "ok")],
             )
@@ -188,54 +153,18 @@ class TestJsonlRoundTrip:
         assert got == [{"scenario_id": 1}, {"scenario_id": 2}]
 
     def test_empty_shard(self, tmp_path):
-        path = _roundtrip(tmp_path, "jsonl", "deltas", [])
-        assert list(iter_shard_rows(path, "deltas", "jsonl")) == []
+        path = _roundtrip(tmp_path, "deltas", [])
+        assert list(iter_shard_rows(path, "deltas")) == []
 
     def test_delta_values_decode_to_absent(self, tmp_path):
         log = DeltaLog("p", 5, ("x",), entries=[(1, {"x": ABSENT}), (3, {"x": 0})],
                        change_counts={"x": 2})
-        path = _roundtrip(tmp_path, "jsonl", "deltas", delta_rows(0, log))
-        values = [row["value"] for row in iter_shard_rows(path, "deltas", "jsonl")]
+        path = _roundtrip(tmp_path, "deltas", delta_rows(0, log))
+        values = [row["value"] for row in iter_shard_rows(path, "deltas")]
         assert values[0] is ABSENT and values[1] == 0
 
     def test_writes_are_atomic(self, tmp_path):
         directory = tmp_path / "jsonl"
-        _roundtrip(tmp_path, "jsonl", "scenarios", _sample_rows())
+        _roundtrip(tmp_path, "scenarios", _sample_rows())
         leftovers = [n for n in os.listdir(directory) if n.startswith(".tmp")]
         assert leftovers == []
-
-
-@needs_pyarrow
-class TestParquetRoundTrip:
-    def test_parquet_equals_jsonl(self, tmp_path):
-        rows = _sample_rows()
-        jsonl_path = _roundtrip(tmp_path, "jsonl", "scenarios", rows)
-        parquet_path = _roundtrip(tmp_path, "parquet", "scenarios", rows)
-        assert list(iter_shard_rows(parquet_path, "scenarios", "parquet")) == list(
-            iter_shard_rows(jsonl_path, "scenarios", "jsonl")
-        )
-
-    def test_pushdown_matches_python_filtering(self, tmp_path):
-        stats = TraceStatistics(
-            "p", 6,
-            {
-                "a": SignalStatistics("a", present=6, minimum=1, maximum=6,
-                                      first_instant=0, last_instant=5),
-                "b": SignalStatistics("b", present=0, absent=6),
-            },
-        )
-        rows = statistics_rows(0, stats) + statistics_rows(1, stats)
-        jsonl_path = _roundtrip(tmp_path, "jsonl", "statistics", rows)
-        parquet_path = _roundtrip(tmp_path, "parquet", "statistics", rows)
-        predicates = [("present", ">", 0), ("scenario_id", "==", 1)]
-        assert list(
-            iter_shard_rows(parquet_path, "statistics", "parquet",
-                            columns=["signal", "present"], predicates=predicates)
-        ) == list(
-            iter_shard_rows(jsonl_path, "statistics", "jsonl",
-                            columns=["signal", "present"], predicates=predicates)
-        )
-
-    def test_empty_parquet_shard(self, tmp_path):
-        path = _roundtrip(tmp_path, "parquet", "deltas", [])
-        assert list(iter_shard_rows(path, "deltas", "parquet")) == []

@@ -64,8 +64,7 @@ DOCUMENTED_MODULES = [
     "repro.store",
     "repro.store.artifacts",
     "repro.store.toolchain",
-    # Fleet-scale sweeps: pure-stdlib by default (pyarrow only upgrades
-    # the shard format at runtime), so the whole package is checkable.
+    # Fleet-scale sweeps: pure stdlib, so the whole package is checkable.
     "repro.sweep",
     "repro.sweep.spaces",
     "repro.sweep.shards",
