@@ -38,6 +38,7 @@ from .model import (
     PropertySetDeclaration,
     Subcomponent,
     SubprogramAccess,
+    default_root,
 )
 from .properties import (
     ACTUAL_PROCESSOR_BINDING,
@@ -103,7 +104,7 @@ __all__ = [
     "ComponentImplementation", "ComponentType", "Connection", "ConnectionEnd",
     "ConnectionKind", "DataAccess", "Feature", "Mode", "ModeTransition",
     "Parameter", "Port", "PortDirection", "PortKind", "PropertySetDeclaration",
-    "Subcomponent", "SubprogramAccess",
+    "Subcomponent", "SubprogramAccess", "default_root",
     # properties
     "ACTUAL_PROCESSOR_BINDING", "COMPUTE_EXECUTION_TIME", "DEADLINE",
     "DISPATCH_PROTOCOL", "INPUT_TIME", "OUTPUT_TIME", "PERIOD", "PRIORITY",

@@ -491,3 +491,31 @@ class AadlModel:
         for package in self.packages.values():
             out.extend(package.types.values())
         return out
+
+
+def default_root(model: AadlModel) -> Optional[str]:
+    """Pick the most plausible root implementation of *model*.
+
+    A system implementation that is not itself used as a subcomponent
+    anywhere, preferring the one with the most subcomponents; failing
+    that, the first process implementation; ``None`` when there is
+    neither.
+    """
+    used_classifiers = {
+        subcomponent.classifier
+        for implementation in model.all_implementations()
+        for subcomponent in implementation.subcomponents.values()
+        if subcomponent.classifier
+    }
+    candidates = [
+        implementation
+        for implementation in model.all_implementations()
+        if implementation.category is ComponentCategory.SYSTEM
+    ]
+    top_level = [c for c in candidates if c.name not in used_classifiers] or candidates
+    if top_level:
+        return max(top_level, key=lambda impl: len(impl.subcomponents)).name
+    for implementation in model.all_implementations():
+        if implementation.category is ComponentCategory.PROCESS:
+            return implementation.name
+    return None

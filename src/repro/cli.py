@@ -21,7 +21,7 @@ import sys
 from typing import List, NoReturn, Optional, Tuple
 
 from .aadl.errors import AadlError
-from .aadl.model import AadlModel, ComponentCategory
+from .aadl.model import AadlModel, default_root
 from .aadl.parser import parse_file
 from .casestudies import CATALOG, catalog_names, load_case_study
 from .core import ToolchainOptions, TranslationConfig, run_toolchain
@@ -131,30 +131,6 @@ def _load_model(path: str) -> Tuple[AadlModel, Optional[str], Optional[str]]:
         _usage_error(str(exc))
 
 
-def _default_root(model: AadlModel) -> Optional[str]:
-    """Pick the most plausible root: a system implementation that is not itself
-    used as a subcomponent anywhere, preferring the one with the most
-    subcomponents; fall back to the first process implementation."""
-    used_classifiers = {
-        subcomponent.classifier
-        for implementation in model.all_implementations()
-        for subcomponent in implementation.subcomponents.values()
-        if subcomponent.classifier
-    }
-    candidates = [
-        implementation
-        for implementation in model.all_implementations()
-        if implementation.category is ComponentCategory.SYSTEM
-    ]
-    top_level = [c for c in candidates if c.name not in used_classifiers] or candidates
-    if top_level:
-        return max(top_level, key=lambda impl: len(impl.subcomponents)).name
-    for implementation in model.all_implementations():
-        if implementation.category is ComponentCategory.PROCESS:
-            return implementation.name
-    return None
-
-
 def _toolchain(
     args: argparse.Namespace,
     simulate: bool = True,
@@ -162,7 +138,7 @@ def _toolchain(
     materialize_trace: bool = True,
 ) -> "ToolchainResult":
     model, catalog_root, catalog_package = _load_model(args.model)
-    root = args.root or catalog_root or _default_root(model)
+    root = args.root or catalog_root or default_root(model)
     if root is None:
         _usage_error("no system implementation found; pass --root explicitly")
     try:
@@ -588,39 +564,39 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    # Lazy imports keep the CLI usable (and tier-1 green) on installations
-    # without the serve extra; the error names the missing piece.
-    from .serve import (
-        SERVE_FALLBACK_MESSAGE,
-        ServiceConfig,
-        create_app,
-        serve_available,
-        uvicorn_available,
-    )
+    from .serve.server import ServiceServer
+    from .serve.service import ServiceConfig, SimulationService
 
-    config = ServiceConfig(
-        cache_capacity=args.cache_capacity,
-        max_concurrent=args.max_concurrent,
-        default_backend=args.backend,
-        # A served process warm-starts from (and publishes to) the
-        # persistent store by default; --no-cache isolates it.
-        store=not args.no_cache,
-    )
-    if args.check:
-        if not serve_available():
-            raise SystemExit(f"error: {SERVE_FALLBACK_MESSAGE}")
-        create_app(config)
-        print(
-            f"serving stack OK (cache capacity {config.cache_capacity}, "
-            f"max concurrent {config.max_concurrent}, backend {config.default_backend!r});"
-            f" uvicorn {'available' if uvicorn_available() else 'MISSING'}"
+    for flag, value in (
+        ("--cache-capacity", args.cache_capacity),
+        ("--max-concurrent", args.max_concurrent),
+    ):
+        if value < 1:
+            _usage_error(f"{flag} must be at least 1, got {value}")
+    if not 0 <= args.port <= 65535:
+        _usage_error(f"--port must be in 0..65535, got {args.port}")
+    service = SimulationService(
+        ServiceConfig(
+            cache_capacity=args.cache_capacity,
+            max_concurrent=args.max_concurrent,
+            default_backend=args.backend,
+            # A served process warm-starts from (and publishes to) the
+            # persistent store by default; --no-cache isolates it.
+            store=not args.no_cache,
         )
-        return 0
-    if not serve_available() or not uvicorn_available():
-        raise SystemExit(f"error: {SERVE_FALLBACK_MESSAGE}")
-    import uvicorn
-
-    uvicorn.run(create_app(config), host=args.host, port=args.port)
+    )
+    try:
+        server = ServiceServer((args.host, args.port), service)
+    except OSError as exc:
+        _usage_error(f"cannot listen on {args.host}:{args.port}: {exc.strerror or exc}")
+    host, port = server.server_address[:2]
+    print(f"serving on http://{host}:{port}", flush=True)
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.server_close()
     return 0
 
 
@@ -910,10 +886,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="start the HTTP simulation service (needs the 'serve' extra)",
+        help="start the HTTP simulation service",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8000, help="bind port (default 8000)")
+    serve.add_argument("--port", type=int, default=8000, help="bind port, 0 for any free one (default 8000)")
     serve.add_argument(
         "--cache-capacity",
         type=int,
@@ -939,11 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="do not back the plan cache with the persistent artifact store "
         "(cold starts then always pay the full toolchain)",
-    )
-    serve.add_argument(
-        "--check",
-        action="store_true",
-        help="verify the serving stack is importable and exit without binding a socket",
     )
     serve.set_defaults(func=cmd_serve)
 

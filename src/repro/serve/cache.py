@@ -31,13 +31,11 @@ counters are maintained both cache-wide and per entry, and surfaced over
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..aadl.parser import parse_string
-from ..aadl.printer import render_model
+from ..store.toolchain import canonical_source, model_fingerprint, source_key
 
 __all__ = [
     "PlanCache",
@@ -45,45 +43,6 @@ __all__ = [
     "model_fingerprint",
     "source_key",
 ]
-
-
-def canonical_source(source: str, filename: str = "<submitted>") -> str:
-    """Parse AADL *source* and re-render it in canonical form.
-
-    The canonical rendering is the whitespace/comment-insensitive identity
-    of the model: ``canonical_source`` is idempotent (rendering is a fixed
-    point of parse→render), so any two sources with the same structure
-    canonicalise to the same text.  Parse failures propagate — the caller
-    maps them to the ``invalid-model`` error.
-    """
-    return render_model(parse_string(source, filename=filename))
-
-
-def model_fingerprint(canonical: str, options_key: Tuple[Any, ...]) -> str:
-    """The structural fingerprint: sha256 over canonical source + options.
-
-    *options_key* is the tuple of translation-relevant request options
-    (root, package, policy, scheduler inclusion, strictness) — anything
-    that changes what "the compiled model" means must be part of it.
-    """
-    digest = hashlib.sha256()
-    digest.update(canonical.encode("utf-8"))
-    digest.update(repr(options_key).encode("utf-8"))
-    return digest.hexdigest()
-
-
-def source_key(source: str, options_key: Tuple[Any, ...]) -> str:
-    """The textual fast-path key: sha256 over the *raw* source + options.
-
-    Byte-identical resubmissions hit this index and skip the parse
-    entirely; textually different but structurally equal sources miss it
-    and converge on the same structural fingerprint through
-    :func:`canonical_source`.
-    """
-    digest = hashlib.sha256()
-    digest.update(source.encode("utf-8"))
-    digest.update(repr(options_key).encode("utf-8"))
-    return "src-" + digest.hexdigest()
 
 
 class PlanCache:

@@ -1,25 +1,29 @@
 """Typed error taxonomy of the serving layer.
 
 Every failure the service can report — over HTTP or through the
-framework-free :class:`~repro.serve.service.SimulationService` core — is a
+transport-independent :class:`~repro.serve.service.SimulationService` core — is a
 :class:`ServeError` carrying a stable machine-readable ``code``, the HTTP
 status it maps to, and a human-readable message.  The codes are the wire
 contract (documented in ``docs/API.md``):
 
-=================== ====== ==========================================================
-code                status meaning
-=================== ====== ==========================================================
-``invalid-model``   422    the submitted AADL failed to parse, instantiate or validate
-``unschedulable``   422    scheduler synthesis failed (resubmit with
-                           ``include_scheduler: false`` to analyse anyway)
-``invalid-program`` 422    a scenario program or simulate request failed validation
-``model-not-found`` 404    no cached model under that fingerprint (evicted or never
-                           submitted — resubmit the source)
-``unknown-backend`` 422    the requested simulation backend is not registered
-``busy``            503    the server-level concurrency limit rejected the request
-                           (backpressure; retry later)
-``stream-closed``   409    the simulation stream was already consumed or cancelled
-=================== ====== ==========================================================
+======================== ====== ============================================================
+code                     status meaning
+======================== ====== ============================================================
+``invalid-model``        422    the submitted AADL failed to parse, instantiate or validate
+``unschedulable``        422    scheduler synthesis failed (resubmit with
+                                ``include_scheduler: false`` to analyse anyway)
+``invalid-program``      422    a scenario program or simulate request failed validation
+``model-not-found``      404    no cached model under that fingerprint (evicted or never
+                                submitted — resubmit the source)
+``unknown-backend``      422    the requested simulation backend is not registered
+``busy``                 503    the server-level concurrency limit rejected the request
+                                (backpressure; retry later)
+``stream-closed``        409    the simulation stream was already consumed or cancelled
+``bad-request``          400    the HTTP request is malformed: no valid ``Content-Length``,
+                                a body over the size cap, or a body that is not UTF-8 JSON
+``not-found``            404    no route matches the request path
+``method-not-allowed``   405    the path exists, but not for this HTTP method
+======================== ====== ============================================================
 
 Scenario-level failures inside an accepted simulation do **not** fail the
 HTTP request: deterministic model errors
@@ -54,15 +58,18 @@ ERROR_STATUS: Dict[str, int] = {
     "unknown-backend": 422,
     "busy": 503,
     "stream-closed": 409,
+    "bad-request": 400,
+    "not-found": 404,
+    "method-not-allowed": 405,
 }
 
 
 class ServeError(Exception):
     """A request-level service failure with a stable code and HTTP status.
 
-    The FastAPI layer maps it to a JSON error response via
-    :func:`error_payload`; framework-free callers catch it directly and
-    read :attr:`code` / :attr:`status`.
+    The HTTP adapter maps it to a JSON error response via
+    :func:`error_payload`; callers of the service core catch it directly
+    and read :attr:`code` / :attr:`status`.
     """
 
     def __init__(self, code: str, message: str, **extra: Any) -> None:

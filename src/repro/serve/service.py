@@ -7,10 +7,10 @@ simulate path (symbolic scenario programs through
 :func:`~repro.sig.engine.batch.simulate_batch` on resident prepared
 backends), the streaming path (chunked sink events with cooperative
 cancellation), and the server-level concurrency semaphore that turns
-overload into typed ``busy`` backpressure.  The FastAPI application in
-:mod:`repro.serve.app` is a thin adapter over this class — which is also
-why the conformance, fuzz, fault and E18 benchmark suites run without
-fastapi installed: they exercise this core directly.
+overload into typed ``busy`` backpressure.  The standard-library HTTP
+server in :mod:`repro.serve.server` is a thin adapter over this class,
+and the conformance, fuzz, fault and E18 benchmark suites exercise this
+core directly, without a socket.
 
 Request and response bodies everywhere are plain JSON-compatible dicts in
 the wire format of :mod:`repro.serve.programs`; failures raise
@@ -27,6 +27,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
+from ..aadl.model import default_root
+from ..aadl.parser import parse_string
 from ..core.toolchain import ToolchainOptions, TranslationConfig, run_toolchain
 from ..scheduling.static_scheduler import SchedulingError, SchedulingPolicy
 from ..sig.engine.backends import DEFAULT_BACKEND, create_backend
@@ -65,8 +67,8 @@ _SUBMIT_FIELDS = frozenset(
     {"source", "root", "package", "policy", "include_scheduler", "lenient"}
 )
 
-#: Default number of VCD characters accumulated before a chunk event flushes.
-_VCD_CHUNK_CHARS = 16384
+#: VCD characters accumulated before a chunk event flushes.
+_VCD_CHUNK_SIZE = 16384
 
 
 @dataclass
@@ -92,7 +94,6 @@ class ServiceConfig:
     max_concurrent: int = 4
     default_backend: str = DEFAULT_BACKEND
     allow_fault_injection: bool = False
-    vcd_chunk_chars: int = _VCD_CHUNK_CHARS
     store: Any = None
 
 
@@ -166,7 +167,7 @@ class SimulationService:
     """The serving core: submit models once, simulate them many times.
 
     See the module docstring for the architecture; the public surface maps
-    one-to-one onto the HTTP endpoints of :mod:`repro.serve.app`:
+    one-to-one onto the HTTP endpoints of :mod:`repro.serve.server`:
 
     ========================================= ==========================
     method                                    endpoint
@@ -296,10 +297,7 @@ class SimulationService:
 
     def _infer_root(self, canonical: str) -> str:
         """Pick the root implementation of an already-canonical source."""
-        from ..aadl.parser import parse_string
-        from ..cli import _default_root
-
-        root = _default_root(parse_string(canonical))
+        root = default_root(parse_string(canonical))
         if root is None:
             raise ServeError(
                 "invalid-model",
@@ -707,7 +705,6 @@ class SimulationService:
                 scenarios=scenarios,
                 length=length,
                 budget=budget,
-                chunk_chars=self.config.vcd_chunk_chars,
                 release=lambda: slot.__exit__(None, None, None),
             )
         except BaseException:
@@ -798,9 +795,8 @@ class _TrackedSink(TraceSink):
 class _ChunkWriter:
     """A ``write()`` target that flushes accumulated text in bounded chunks."""
 
-    def __init__(self, emit: Callable[[str], None], chunk_chars: int) -> None:
+    def __init__(self, emit: Callable[[str], None]) -> None:
         self._emit = emit
-        self._chunk_chars = max(1, chunk_chars)
         self._parts: List[str] = []
         self._size = 0
 
@@ -808,7 +804,7 @@ class _ChunkWriter:
         """Buffer *text*, emitting a chunk each time the threshold is hit."""
         self._parts.append(text)
         self._size += len(text)
-        if self._size >= self._chunk_chars:
+        if self._size >= _VCD_CHUNK_SIZE:
             self.flush()
         return len(text)
 
@@ -843,7 +839,6 @@ class SimulationStream:
         scenarios: List[Scenario],
         length: Optional[int],
         budget: Optional[ScenarioBudget],
-        chunk_chars: int,
         release: Callable[[], None],
     ) -> None:
         import queue
@@ -854,7 +849,6 @@ class SimulationStream:
         self._scenarios = scenarios
         self._length = length
         self._budget = budget
-        self._chunk_chars = chunk_chars
         self._release = release
         self._queue: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue(maxsize=64)
         self._cancelled = threading.Event()
@@ -975,8 +969,7 @@ class SimulationStream:
             writer = _ChunkWriter(
                 lambda chunk: self._put(
                     {"event": "vcd", "scenario": index, "chunk": chunk}
-                ),
-                self._chunk_chars,
+                )
             )
             sinks.append(StreamingVcdSink(writer))
         if request.include_trace:

@@ -1,10 +1,11 @@
 """Keys and kinds of the toolchain's persistent artifacts.
 
 The store itself (:mod:`repro.store.artifacts`) is payload-agnostic; this
-module defines how the toolchain addresses it.  Addressing reuses the
-serving layer's fingerprint discipline (:mod:`repro.serve.cache`) so the
-CLI, :func:`~repro.core.toolchain.run_toolchain` and a ``repro serve``
-process all converge on **the same keys** for the same model:
+module defines how the toolchain addresses it, and owns the fingerprint
+functions the serving layer's plan cache (:mod:`repro.serve.cache`) keys
+on too, so the CLI, :func:`~repro.core.toolchain.run_toolchain` and a
+``repro serve`` process all converge on **the same keys** for the same
+model:
 
 * the **structural fingerprint** — sha-256 over the canonical (parse →
   render fixed point) source plus the analysis-relevant options — keys the
@@ -27,19 +28,22 @@ deliberately absent — the simulation stage always runs live.  Options the
 key cannot represent faithfully (user-supplied ``thread_behaviours``
 callables) disable persistence for that run: :func:`toolchain_options_key`
 returns ``None`` and the caller falls back to the plain cold path.
-
-Imports from :mod:`repro.serve.cache` are deferred into the functions:
-``repro.core.toolchain`` imports this module, and the serve package
-imports ``repro.core.toolchain`` — lazy imports break the cycle.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Optional, Tuple
+
+from ..aadl.parser import parse_string
+from ..aadl.printer import render_model
 
 __all__ = [
     "KIND_INDEX",
     "KIND_TOOLCHAIN",
+    "canonical_source",
+    "model_fingerprint",
+    "source_key",
     "toolchain_fingerprint",
     "toolchain_options_key",
     "toolchain_raw_key",
@@ -49,6 +53,37 @@ __all__ = [
 KIND_TOOLCHAIN = "toolchain"
 #: Artifact kind of the raw-source → fingerprint shortcut entries.
 KIND_INDEX = "index"
+
+
+def canonical_source(source: str, filename: str = "<submitted>") -> str:
+    """Parse AADL *source* and re-render it in canonical form.
+
+    The parse → render fixed point is the whitespace/comment-insensitive
+    identity of the model.  Parse failures propagate.
+    """
+    return render_model(parse_string(source, filename=filename))
+
+
+def model_fingerprint(canonical: str, options_key: Tuple[Any, ...]) -> str:
+    """The structural fingerprint: sha256 over canonical source + options.
+
+    *options_key* holds every option that changes the compiled model.
+    """
+    digest = hashlib.sha256()
+    digest.update(canonical.encode("utf-8"))
+    digest.update(repr(options_key).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def source_key(source: str, options_key: Tuple[Any, ...]) -> str:
+    """The textual fast-path key: sha256 over the *raw* source + options.
+
+    Byte-identical resubmissions hit it and skip the parse entirely.
+    """
+    digest = hashlib.sha256()
+    digest.update(source.encode("utf-8"))
+    digest.update(repr(options_key).encode("utf-8"))
+    return "src-" + digest.hexdigest()
 
 
 def toolchain_options_key(options: Any) -> Optional[Tuple[Any, ...]]:
@@ -75,8 +110,6 @@ def toolchain_options_key(options: Any) -> Optional[Tuple[Any, ...]]:
 
 def toolchain_raw_key(source: str, options_key: Tuple[Any, ...]) -> str:
     """The byte-identity key of textual *source* (the parse-skipping index)."""
-    from ..serve.cache import source_key
-
     # source_key prefixes "src-"; strip it so the hex digest shards evenly
     # over the two-character fan-out directories.
     return source_key(source, options_key)[len("src-"):]
@@ -84,7 +117,5 @@ def toolchain_raw_key(source: str, options_key: Tuple[Any, ...]) -> str:
 
 def toolchain_fingerprint(canonical: str, options_key: Tuple[Any, ...]) -> str:
     """The structural fingerprint of an already-canonical source."""
-    from ..serve.cache import model_fingerprint
-
     return model_fingerprint(canonical, options_key)
 

@@ -1,8 +1,16 @@
 """Tests of the command-line interface (python -m repro …)."""
 
+import http.client
+import json
 import os
+import signal
+import socket
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.casestudies import PRODUCER_CONSUMER_AADL, catalog_names
 from repro.cli import build_parser, main
@@ -325,3 +333,67 @@ class TestCacheBadInputs:
         assert captured.err.startswith("error: ") and message in captured.err
         assert len(captured.err.strip().splitlines()) == 1
         assert regular_file.read_text() == "x"
+
+
+class TestServeBadInputs:
+    """``repro serve`` turns a cache capacity or concurrency limit below 1,
+    a port outside 0..65535, or an address already in use into one
+    ``error:`` line and exit code 2."""
+
+    BAD_SERVES = {
+        "zero-cache-capacity": (["--cache-capacity", "0"], "--cache-capacity must be at least 1, got 0"),
+        "zero-max-concurrent": (["--max-concurrent", "0"], "--max-concurrent must be at least 1, got 0"),
+        "negative-max-concurrent": (["--max-concurrent", "-2"], "--max-concurrent must be at least 1, got -2"),
+        "negative-port": (["--port", "-1"], "--port must be in 0..65535, got -1"),
+        "port-too-large": (["--port", "65536"], "--port must be in 0..65535, got 65536"),
+        "address-in-use": (["--port", "{busy_port}"], "cannot listen on 127.0.0.1:{busy_port}"),
+    }
+
+    @pytest.mark.parametrize("bad_serve", sorted(BAD_SERVES))
+    def test_bad_serve_is_a_clean_usage_error(self, bad_serve, capsys):
+        args, message = self.BAD_SERVES[bad_serve]
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            busy_port = busy.getsockname()[1]
+            argv = ["serve", "--host", "127.0.0.1", "--no-cache"]
+            argv += [arg.format(busy_port=busy_port) for arg in args]
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message.format(busy_port=busy_port))
+        assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_serve_smoke_over_a_real_socket():
+    """``repro serve --port 0`` reports its bound port, answers /healthz,
+    and exits 0 on Ctrl-C."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--no-cache"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    try:
+        line = process.stdout.readline()
+        assert line.startswith("serving on http://127.0.0.1:"), line
+        host, port = line.split("//")[1].strip().rsplit(":", 1)
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read()) == {"ok": True}
+        finally:
+            connection.close()
+        process.send_signal(signal.SIGINT)
+        assert process.wait(timeout=30) == 0
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=30)
+        process.stdout.close()

@@ -8,8 +8,8 @@ travel over HTTP) must produce traces bit-identical — values *and* value
 types — to compiling the model directly with ``run_toolchain`` and
 running the same scenarios on the backend in-process.
 
-The HTTP adapter variant at the bottom needs fastapi+httpx and skips on a
-bare install; the JSON-boundary core runs everywhere.
+The variant at the bottom sends one entry through the HTTP adapter over a
+real ``127.0.0.1`` socket.
 """
 
 import json
@@ -24,6 +24,7 @@ from repro.serve.errors import ServeError
 from repro.serve.programs import decode_trace, scenario_to_payload
 from repro.serve.service import ServiceConfig, SimulationService
 from repro.sig.engine import create_backend
+from tests.serve.live import call, serving
 
 try:
     import numpy  # noqa: F401
@@ -165,36 +166,35 @@ def test_served_workers_match_sequential(service, prepared):
     )
 
 
-def test_served_parity_over_http(prepared):
-    """One entry end-to-end through the real HTTP adapter."""
-    pytest.importorskip("fastapi")
-    pytest.importorskip("httpx")
-    from fastapi.testclient import TestClient
-
-    from repro.serve import create_app
-
+def test_served_parity_over_http(service, prepared):
+    """One entry end-to-end through the real HTTP adapter on 127.0.0.1."""
     entry = load_case_study("producer_consumer")
     info = prepared("producer_consumer")
-    with TestClient(create_app()) as client:
-        submitted = client.post(
+    with serving(service) as server:
+        status, submitted = call(
+            server,
+            "POST",
             "/models",
-            json={
+            {
                 "source": render_model(entry.load_model()),
                 "root": entry.root_implementation,
                 "package": entry.default_package,
             },
         )
-        assert submitted.status_code == 200
-        response = client.post(
-            f"/models/{submitted.json()['fingerprint']}/simulate",
-            json=served_request(info["scenarios"], "compiled"),
+        assert status == 200, submitted
+        assert submitted["fingerprint"] == info["fingerprint"]
+        status, response = call(
+            server,
+            "POST",
+            f"/models/{submitted['fingerprint']}/simulate",
+            served_request(info["scenarios"], "compiled"),
         )
-        assert response.status_code == 200
-        direct = create_backend(info["system_model"], "compiled", strict=False)
-        for index, scenario in enumerate(info["scenarios"]):
-            assert_traces_identical(
-                "producer_consumer",
-                "compiled",
-                response.json()["results"][index]["trace"],
-                direct.run(scenario),
-            )
+    assert status == 200, response
+    direct = create_backend(info["system_model"], "compiled", strict=False)
+    for index, scenario in enumerate(info["scenarios"]):
+        assert_traces_identical(
+            "producer_consumer",
+            "compiled",
+            response["results"][index]["trace"],
+            direct.run(scenario),
+        )

@@ -1,37 +1,36 @@
-"""End-to-end HTTP conformance of the FastAPI adapter (``repro.serve.app``).
+"""End-to-end HTTP conformance of the adapter (``repro.serve.server``).
 
-These tests need the ``serve`` extra (fastapi + httpx-backed test client)
-and skip cleanly on a bare install — the CI ``serve`` job runs them.  The
-service-core semantics are covered framework-free in ``test_service.py``;
-here we assert the HTTP layer's added contract: routing, pydantic
-``extra='forbid'`` request validation, the JSON error taxonomy's status
-codes on the wire, and SSE stream framing.
+Every case runs over a real ``127.0.0.1`` socket against one module-scoped
+server on a free port.  The service-core semantics are covered without a
+socket in ``test_service.py``; here we assert the HTTP layer's added
+contract: routing, the JSON error taxonomy's status codes on the wire,
+the transport faults (``bad-request``, ``not-found``,
+``method-not-allowed``), SSE stream framing, and that clients which
+disconnect or stall cannot hold a simulation slot or a server thread.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import time
 
 import pytest
 
-fastapi = pytest.importorskip("fastapi")
-pytest.importorskip("httpx")
-
-from fastapi.testclient import TestClient  # noqa: E402
-
-from repro.aadl.printer import render_model  # noqa: E402
-from repro.casestudies.catalog import load_case_study  # noqa: E402
-from repro.serve import create_app  # noqa: E402
-from repro.serve.service import ServiceConfig  # noqa: E402
+from repro.aadl.printer import render_model
+from repro.casestudies.catalog import load_case_study
+from repro.serve.server import MAX_BODY_BYTES, ServiceHandler
+from repro.serve.service import ServiceConfig, SimulationService
+from tests.serve.live import call, connect, request, serving
 
 CASE = "producer_consumer"
 
 
 @pytest.fixture(scope="module")
-def client():
-    app = create_app(ServiceConfig(cache_capacity=4, max_concurrent=2))
-    with TestClient(app) as test_client:
-        yield test_client
+def server():
+    service = SimulationService(ServiceConfig(cache_capacity=4, max_concurrent=2))
+    with serving(service) as live:
+        yield live
 
 
 @pytest.fixture(scope="module")
@@ -45,71 +44,85 @@ def submit_body():
 
 
 @pytest.fixture(scope="module")
-def fingerprint(client, submit_body):
-    response = client.post("/models", json=submit_body)
-    assert response.status_code == 200, response.text
-    return response.json()["fingerprint"]
+def fingerprint(server, submit_body):
+    status, body = call(server, "POST", "/models", submit_body)
+    assert status == 200, body
+    return body["fingerprint"]
 
 
-def sse_events(response):
+def sse_events(raw):
     """Parse an SSE body back into the JSON event objects."""
     events = []
-    for line in response.text.splitlines():
+    for line in raw.decode("utf-8").splitlines():
         if line.startswith("data: "):
             events.append(json.loads(line[len("data: "):]))
     return events
 
 
-class TestLifecycle:
-    def test_healthz(self, client):
-        response = client.get("/healthz")
-        assert response.status_code == 200
-        assert response.json() == {"ok": True}
+def assert_error(status, body, code, expected_status):
+    assert status == expected_status, body
+    assert body["error"]["code"] == code
+    assert body["error"]["status"] == expected_status
+    assert body["error"]["message"]
 
-    def test_submit_then_resubmit_hits_cache(self, client, submit_body, fingerprint):
-        response = client.post("/models", json=submit_body)
-        assert response.status_code == 200
-        body = response.json()
+
+def send_raw(server, head, body=b""):
+    """Open a raw socket and send *head* (request line + headers) and *body*."""
+    sock = socket.create_connection(server.server_address[:2], timeout=30)
+    sock.sendall(head.encode("ascii") + b"\r\n\r\n" + body)
+    return sock
+
+
+class TestLifecycle:
+    def test_healthz(self, server):
+        assert call(server, "GET", "/healthz") == (200, {"ok": True})
+
+    def test_submit_then_resubmit_hits_cache(self, server, submit_body, fingerprint):
+        status, body = call(server, "POST", "/models", submit_body)
+        assert status == 200
         assert body["fingerprint"] == fingerprint
         assert body["cached"] is True
 
-    def test_model_info_and_listing(self, client, fingerprint):
-        info = client.get(f"/models/{fingerprint}")
-        assert info.status_code == 200
-        assert info.json()["fingerprint"] == fingerprint
-        listing = client.get("/models")
-        assert listing.status_code == 200
-        assert fingerprint in listing.json()["models"]
+    def test_model_info_and_listing(self, server, fingerprint):
+        status, info = call(server, "GET", f"/models/{fingerprint}")
+        assert status == 200
+        assert info["fingerprint"] == fingerprint
+        status, listing = call(server, "GET", "/models")
+        assert status == 200
+        assert fingerprint in listing["models"]
 
-    def test_stats_counters(self, client, fingerprint):
-        stats = client.get("/stats")
-        assert stats.status_code == 200
-        cache = stats.json()["cache"]
-        assert cache["compiles"] >= 1
-        assert cache["hits"] >= 1
+    def test_stats_counters(self, server, fingerprint):
+        status, stats = call(server, "GET", "/stats")
+        assert status == 200
+        assert stats["cache"]["compiles"] >= 1
+        assert stats["cache"]["hits"] >= 1
 
-    def test_simulate(self, client, fingerprint):
-        response = client.post(
+    def test_simulate(self, server, fingerprint):
+        status, body = call(
+            server,
+            "POST",
             f"/models/{fingerprint}/simulate",
-            json={"scenarios": [{"default": True}], "hyperperiods": 1},
+            {"scenarios": [{"default": True}], "hyperperiods": 1},
         )
-        assert response.status_code == 200, response.text
-        body = response.json()
+        assert status == 200, body
         assert body["ok"] is True
         assert body["results"][0]["trace"]["length"] > 0
 
-    def test_stream_sse_framing(self, client, fingerprint):
-        response = client.post(
+    def test_stream_sse_framing(self, server, fingerprint):
+        status, headers, raw = request(
+            server,
+            "POST",
             f"/models/{fingerprint}/simulate/stream",
-            json={
+            {
                 "scenarios": [{"default": True}],
                 "hyperperiods": 1,
                 "sinks": ["stats", "vcd"],
             },
         )
-        assert response.status_code == 200
-        assert response.headers["content-type"].startswith("text/event-stream")
-        events = sse_events(response)
+        assert status == 200
+        assert headers["Content-Type"].startswith("text/event-stream")
+        assert headers["Transfer-Encoding"] == "chunked"
+        events = sse_events(raw)
         kinds = [event["event"] for event in events]
         assert kinds[0] == "open"
         assert kinds[-1] == "done"
@@ -117,44 +130,136 @@ class TestLifecycle:
         assert any(kind == "vcd" for kind in kinds)
         assert events[-1]["ok"] is True
 
-    def test_evict_then_404(self, client, submit_body):
-        fingerprint = client.post("/models", json=submit_body).json()["fingerprint"]
-        assert client.delete(f"/models/{fingerprint}").status_code == 200
-        assert client.get(f"/models/{fingerprint}").status_code == 404
+    def test_evict_then_404(self, server, submit_body, fingerprint):
+        # Other options, other fingerprint: the shared model stays resident.
+        _, body = call(server, "POST", "/models", dict(submit_body, lenient=True))
+        assert body["fingerprint"] != fingerprint
+        fingerprint = body["fingerprint"]
+        assert call(server, "DELETE", f"/models/{fingerprint}")[0] == 200
+        assert_error(
+            *call(server, "GET", f"/models/{fingerprint}"), "model-not-found", 404
+        )
 
 
 class TestHttpErrors:
-    def test_unknown_fingerprint_404(self, client):
-        response = client.post(
-            "/models/deadbeef/simulate", json={"scenarios": [{"default": True}]}
+    def test_unknown_fingerprint_404(self, server):
+        status, body = call(
+            server, "POST", "/models/deadbeef/simulate", {"scenarios": [{"default": True}]}
         )
-        assert response.status_code == 404
-        assert response.json()["error"]["code"] == "model-not-found"
+        assert_error(status, body, "model-not-found", 404)
 
-    def test_invalid_model_422(self, client):
-        response = client.post("/models", json={"source": "not aadl at all"})
-        assert response.status_code == 422
-        assert response.json()["error"]["code"] == "invalid-model"
+    def test_invalid_model_422(self, server):
+        status, body = call(server, "POST", "/models", {"source": "not aadl at all"})
+        assert_error(status, body, "invalid-model", 422)
 
-    def test_typoed_body_key_422(self, client, submit_body, fingerprint):
-        assert (
-            client.post("/models", json=dict(submit_body, roots="x")).status_code
-            == 422
-        )
-        response = client.post(
+    def test_typoed_body_key_422(self, server, submit_body, fingerprint):
+        assert call(server, "POST", "/models", dict(submit_body, roots="x"))[0] == 422
+        status, body = call(
+            server,
+            "POST",
             f"/models/{fingerprint}/simulate",
-            json={"scenarios": [{"default": True}], "worker": 2},
+            {"scenarios": [{"default": True}], "worker": 2},
         )
-        assert response.status_code == 422
+        assert_error(status, body, "invalid-program", 422)
 
-    def test_unknown_backend_422(self, client, fingerprint):
-        response = client.post(
+    def test_unknown_backend_422(self, server, fingerprint):
+        status, body = call(
+            server,
+            "POST",
             f"/models/{fingerprint}/simulate",
-            json={
-                "scenarios": [{"default": True}],
-                "hyperperiods": 1,
-                "backend": "quantum",
-            },
+            {"scenarios": [{"default": True}], "hyperperiods": 1, "backend": "quantum"},
         )
-        assert response.status_code == 422
-        assert response.json()["error"]["code"] == "unknown-backend"
+        assert_error(status, body, "unknown-backend", 422)
+
+
+class TestTransportErrors:
+    @pytest.mark.parametrize("body", [b"{not json", b"\xff\xfe{}"], ids=["json", "utf8"])
+    def test_body_that_is_not_utf8_json_is_bad_request(self, server, body):
+        status, _, raw = request(server, "POST", "/models", body)
+        assert_error(status, json.loads(raw), "bad-request", 400)
+
+    @pytest.mark.parametrize("length", [None, "abc", "-1", str(MAX_BODY_BYTES + 1)])
+    def test_missing_invalid_or_oversized_content_length_is_bad_request(
+        self, server, length
+    ):
+        connection = connect(server)
+        try:
+            connection.putrequest("POST", "/models")
+            if length is not None:
+                connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            assert_error(response.status, json.loads(response.read()), "bad-request", 400)
+        finally:
+            connection.close()
+
+    def test_unknown_path_is_not_found(self, server):
+        assert_error(*call(server, "GET", "/nowhere"), "not-found", 404)
+
+    def test_wrong_method_is_method_not_allowed(self, server):
+        status, body = call(server, "DELETE", "/models")
+        assert_error(status, body, "method-not-allowed", 405)
+        assert body["error"]["allowed"] == ["GET", "POST"]
+
+    def test_unsupported_method_is_typed_json(self, server):
+        assert_error(*call(server, "OPTIONS", "/models"), "method-not-allowed", 405)
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "GET /healthz HTTP/9.9",
+            "GET /healthz HTTP/1.x",
+            "GET /healthz HTTP/1.1\r\n"
+            + "\r\n".join(f"X-Header-{index}: value" for index in range(101)),
+        ],
+        ids=["version", "unparsable-version", "too-many-headers"],
+    )
+    def test_malformed_request_is_typed_json(self, server, head):
+        sock = send_raw(server, head)
+        try:
+            head, _, body = sock.makefile("rb").read().partition(b"\r\n\r\n")
+        finally:
+            sock.close()
+        assert head.split()[1] == b"400"
+        assert json.loads(body)["error"]["code"] == "bad-request"
+
+
+class TestMisbehavingClients:
+    def test_disconnect_mid_stream_frees_the_slot(self, server, fingerprint):
+        body = json.dumps(
+            {"scenarios": [{"default": True}] * 200, "hyperperiods": 2, "sinks": ["vcd"]}
+        ).encode("utf-8")
+        sock = send_raw(
+            server,
+            f"POST /models/{fingerprint}/simulate/stream HTTP/1.1\r\n"
+            f"Host: test\r\nContent-Type: application/json\r\nContent-Length: {len(body)}",
+            body,
+        )
+        received = b""
+        while b"data: " not in received:
+            chunk = sock.recv(4096)
+            assert chunk, received
+            received += chunk
+        sock.close()
+
+        deadline = time.monotonic() + 30
+        while call(server, "GET", "/stats")[1]["active_simulations"]:
+            assert time.monotonic() < deadline, "disconnected stream kept its slot"
+            time.sleep(0.05)
+        status, response = call(
+            server,
+            "POST",
+            f"/models/{fingerprint}/simulate",
+            {"scenarios": [{"default": True}], "hyperperiods": 1},
+        )
+        assert status == 200 and response["ok"] is True
+
+    def test_stalled_client_is_dropped_within_the_timeout(self, server, monkeypatch):
+        monkeypatch.setattr(ServiceHandler, "timeout", 0.5)
+        sock = send_raw(server, "POST /models HTTP/1.1\r\nHost: test\r\nContent-Length: 100")
+        try:
+            started = time.monotonic()
+            assert sock.recv(4096) == b""
+            assert time.monotonic() - started < 10
+        finally:
+            sock.close()

@@ -365,6 +365,9 @@ class TestErrorTaxonomy:
             "unknown-backend": 422,
             "busy": 503,
             "stream-closed": 409,
+            "bad-request": 400,
+            "not-found": 404,
+            "method-not-allowed": 405,
         }
 
     def test_unknown_code_rejected(self):

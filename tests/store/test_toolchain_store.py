@@ -279,3 +279,31 @@ def test_cli_warm_start_across_real_processes(tmp_path):
     )
     assert second.returncode == 0, second.stderr
     assert "warm start: analyses restored from the persistent cache" in second.stdout
+
+
+def test_store_on_run_does_not_import_the_serving_layer_or_cli(tmp_path):
+    """A store-on run_toolchain keys its artifacts without repro.serve or repro.cli."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import sys\n"
+        "from repro.casestudies import PRODUCER_CONSUMER_AADL\n"
+        "from repro.core import ToolchainOptions, run_toolchain\n"
+        "from repro.store import ArtifactStore\n"
+        f"store = ArtifactStore({str(tmp_path / 'store')!r})\n"
+        "run_toolchain(PRODUCER_CONSUMER_AADL, ToolchainOptions(\n"
+        f"    root_implementation={ROOT!r}, default_package={PACKAGE!r},\n"
+        "    simulate_hyperperiods=1, store=store))\n"
+        "assert store.stats()['entries'] > 0, store.stats()\n"
+        "leaked = [m for m in ('repro.serve', 'repro.cli') if m in sys.modules]\n"
+        "assert not leaked, leaked\n"
+        "print('clean')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "clean" in result.stdout

@@ -52,13 +52,12 @@ DOCUMENTED_MODULES = [
     "repro.sig.scenario",
     "repro.sig.sinks",
     "repro.sig.vcd",
-    # The serving layer's framework-free modules.  repro.serve.app is
-    # deliberately absent: it imports fastapi, which bare installs (and
-    # this offline check) do not have.
+    # The serving layer, HTTP adapter included.
     "repro.serve",
     "repro.serve.cache",
     "repro.serve.errors",
     "repro.serve.programs",
+    "repro.serve.server",
     "repro.serve.service",
     # The persistent artifact store.
     "repro.store",
