@@ -14,8 +14,6 @@ gated separately in ``test_bench_e16_residue_lowering.py``.
 
 import math
 
-import pytest
-
 from bench_timing import best_of
 
 from repro.sig import builder as b
@@ -23,7 +21,6 @@ from repro.sig.engine import (
     CompiledBackend,
     DEFAULT_BLOCK_SIZE,
     VectorizedBackend,
-    numpy_available,
 )
 from repro.sig.process import ProcessModel
 from repro.sig.simulator import Scenario
@@ -91,8 +88,6 @@ def test_bench_e14_vectorized_speedup(bench_e10):
     """Acceptance gate: on the numeric-heavy long-horizon model the
     vectorized backend (block kernels included) beats the compiled plan by
     at least 3x wall-clock while staying bit-identical."""
-    if not numpy_available():
-        pytest.skip("numpy not installed; the vectorized backend has no kernels")
     model = build_numeric_model()
     scenario = sensor_scenario(INSTANTS)
 

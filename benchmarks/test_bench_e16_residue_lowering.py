@@ -17,12 +17,10 @@ dominant to **< 25%** of targets.  Both fractions are persisted in the
 ``residue_lowering_e16`` extras of ``BENCH_e10.json``.
 """
 
-import pytest
-
 from bench_timing import best_of
 
 from repro.sig import builder as b
-from repro.sig.engine import VectorizedBackend, numpy_available
+from repro.sig.engine import VectorizedBackend
 from repro.sig.values import BOOLEAN, REAL
 
 from test_bench_e14_vectorized import build_numeric_model, sensor_scenario
@@ -62,8 +60,6 @@ def test_bench_e16_residue_lowering(bench_e10):
     """Acceptance gate: recurrence scans + residue clustering together
     >= 3x over the flags-off vectorized backend, residual fraction below
     25%, bit-identical traces."""
-    if not numpy_available():
-        pytest.skip("numpy not installed; the vectorized backend has no kernels")
     model = build_residue_model()
     scenario = sensor_scenario(INSTANTS)
 

@@ -80,7 +80,7 @@ def catalog() -> None:
 def simulation_batch(variants: int = 16, workers: int = 1) -> None:
     """Run one scheduled model over many scenarios: backends, then sharding."""
     print()
-    print(f"Batched simulation ({variants} randomised scenarios, both backends):")
+    print(f"Batched simulation ({variants} randomised scenarios, every backend):")
     config = GeneratorConfig(
         name="BatchDemo", processes=2, threads_per_process=4, harmonic=True, seed=21
     )
@@ -96,11 +96,8 @@ def simulation_batch(variants: int = 16, workers: int = 1) -> None:
         variants=variants,
         seed=config.seed,
     )
-    from repro.sig.engine import numpy_available
-
-    backends = ["reference", "compiled"] + (["vectorized"] if numpy_available() else [])
     timings = {}
-    for backend in backends:
+    for backend in ("reference", "compiled", "vectorized"):
         start = time.perf_counter()
         batch = simulate_batch(
             result.system_model, scenarios, strict=False, backend=backend, collect_errors=True
@@ -109,7 +106,7 @@ def simulation_batch(variants: int = 16, workers: int = 1) -> None:
         print(f"  {backend:<10s} {batch.summary()}")
     if timings["compiled"] > 0:
         print(f"  compiled backend speedup: {timings['reference'] / timings['compiled']:.1f}x")
-    if timings.get("vectorized"):
+    if timings["vectorized"] > 0:
         print(
             "  vectorized backend speedup over compiled: "
             f"{timings['compiled'] / timings['vectorized']:.1f}x"

@@ -39,11 +39,7 @@ setup(
     packages=find_packages("src"),
     package_dir={"": "src"},
     python_requires=">=3.8",
-    extras_require={
-        # The vectorized simulation backend soft-depends on numpy: without
-        # it the backend degrades to the compiled execution plan.
-        "vectorized": ["numpy"],
-    },
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "repro=repro.cli:main",

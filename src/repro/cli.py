@@ -16,6 +16,7 @@ the first package, which is the common single-system case.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, NoReturn, Optional, Tuple
@@ -28,7 +29,6 @@ from .core import ToolchainOptions, TranslationConfig, run_toolchain
 from .scheduling import SchedulingError, SchedulingPolicy, export_affine_clocks
 from .sig.engine import (
     DEFAULT_BACKEND,
-    DEFAULT_BLOCK_SIZE,
     backend_names,
     create_backend,
     default_scenario,
@@ -36,18 +36,38 @@ from .sig.engine import (
 )
 from .sig.printer import to_signal_source
 from .sig.sinks import DeltaSink, StatisticsSink, TraceSink, WindowSink
+from .sig.values import ABSENT
 from .sig.vcd import StreamingVcdSink
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for count flags where 0 means "off" (e.g. --window)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
+def _checked(convert, accept, expected: str):
+    """An argparse type: *convert* the text, then require *accept* of it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _print_plan_stats(model, backend_name, backend_options) -> None:
+#: Counts where 0 means "off" or "default" (``--window``, ``--workers``).
+_non_negative_int = _checked(int, lambda value: value >= 0, "a non-negative integer")
+#: Sizes and horizons that must be at least 1.
+_positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+#: Timeouts.
+_positive_seconds = _checked(
+    float,
+    lambda value: math.isfinite(value) and value > 0,
+    "a positive, finite number of seconds",
+)
+
+
+def _print_plan_stats(model, backend_name) -> None:
     """Print the execution-plan partition breakdown for ``--plan-stats``.
 
     Shows the compiled plan shape for every backend and the stratum partition
@@ -55,7 +75,7 @@ def _print_plan_stats(model, backend_name, backend_options) -> None:
     vectorized backend — the residue composition, without digging through
     benchmark extras.
     """
-    runner = create_backend(model, backend=backend_name, strict=False, **backend_options)
+    runner = create_backend(model, backend=backend_name, strict=False)
     plan = getattr(runner, "plan", None)
     if plan is None:  # reference backend: compile the plan just for the report
         from .sig.engine import compile_plan
@@ -95,9 +115,9 @@ class _AlarmSink(TraceSink):
             if name.endswith("_Alarm")
         ]
 
-    def on_instant(self, instant, statuses, values) -> None:
+    def on_instant(self, instant, values) -> None:
         for index, name in self._watch:
-            if statuses[index]:
+            if values[index] is not ABSENT:
                 self.fired.setdefault(name, []).append(instant)
 
     def result(self):
@@ -145,9 +165,6 @@ def _toolchain(
         policy = SchedulingPolicy.from_name(getattr(args, "policy", "RM"))
     except ValueError as exc:
         _usage_error(str(exc))
-    backend_options = {}
-    if getattr(args, "block_size", None):
-        backend_options["block_size"] = args.block_size
     options = ToolchainOptions(
         root_implementation=root,
         default_package=catalog_package or next(iter(model.packages), None),
@@ -158,13 +175,8 @@ def _toolchain(
         simulate_hyperperiods=getattr(args, "hyperperiods", 2) if simulate else 0,
         strict_validation=not getattr(args, "lenient", False),
         backend=getattr(args, "backend", DEFAULT_BACKEND),
-        backend_options=backend_options,
-        workers=getattr(args, "workers", 1),
         sinks=sinks,
         materialize_trace=materialize_trace,
-        timeout=getattr(args, "timeout", None),
-        retries=getattr(args, "retries", None),
-        max_failures=getattr(args, "max_failures", None),
         # The CLI warm-starts across invocations by default (persistent
         # artifact store under REPRO_CACHE_DIR / ~/.cache/repro);
         # --no-cache keeps a single run self-contained.
@@ -290,11 +302,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print("nothing was simulated (no schedule could be synthesised)")
         return 1
     if args.plan_stats:
-        _print_plan_stats(
-            result.translation.system_model,
-            args.backend,
-            result.options.backend_options if result.options else {},
-        )
+        _print_plan_stats(result.translation.system_model, args.backend)
         if result.calculus_stats is not None:
             print(f"  {result.calculus_stats.summary()}")
         elif result.store_hit:
@@ -330,10 +338,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         stimuli = result.options.stimuli_periods if result.options else None
         scenario = default_scenario(result.translation.system_model, None, stimuli)
         runner = create_backend(
-            result.translation.system_model,
-            backend=args.backend,
-            strict=False,
-            **(result.options.backend_options if result.options else {}),
+            result.translation.system_model, backend=args.backend, strict=False
         )
         print(f"scenario-length sweep over {len(args.scenario_length)} horizon(s) "
               f"[one symbolic scenario, {len(scenario.inputs)} driven signal(s)]")
@@ -362,22 +367,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             variants=args.batch,
             base_stimuli=None,
         )
-        workers = result.options.workers if result.options is not None else 1
         batch = simulate_batch(
             result.translation.system_model,
             scenarios,
             strict=False,
             backend=args.backend,
-            backend_options=result.options.backend_options if result.options else None,
             collect_errors=True,
-            workers=workers,
+            workers=args.workers,
             # With --no-trace the sweep streams too: each scenario aggregates
             # into a per-worker statistics sink instead of materialising.
             sink_factory=_stats_sink_factory if args.no_trace else None,
             # Supervision knobs; faulted scenarios are reported, not fatal.
-            timeout=result.options.timeout if result.options else None,
-            retries=result.options.retries if result.options else None,
-            max_failures=result.options.max_failures if result.options else None,
+            timeout=args.timeout,
+            retries=args.retries,
+            max_failures=args.max_failures,
         )
         print(batch.summary())
     fired = {}
@@ -483,6 +486,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .sweep.shards import dumps_json
 
     if args.sweep_command == "run":
+        if args.min_period > args.max_period:
+            _usage_error(
+                f"--min-period {args.min_period} exceeds --max-period {args.max_period}"
+            )
         result = _toolchain(args, simulate=False)
         model = result.translation.system_model
         space = stimulus_space(
@@ -492,9 +499,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         deltas = None
         if args.deltas:
             deltas = [name.strip() for name in args.deltas.split(",") if name.strip()]
-        backend_options = {}
-        if getattr(args, "block_size", None):
-            backend_options["block_size"] = args.block_size
         try:
             sweep_result = run_sweep(
                 model,
@@ -503,7 +507,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 partition_size=args.partition_size,
                 strict=False,
                 backend=args.backend,
-                backend_options=backend_options,
                 workers=args.workers,
                 length=args.length,
                 deltas=deltas,
@@ -601,8 +604,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
+class _Parser(argparse.ArgumentParser):
+    """An argument error (a bad number, a missing flag) is a usage error
+    like any other: one ``error:`` line naming the subcommand, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        _usage_error(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Polychronous analysis and validation for timed software architectures in AADL",
     )
@@ -625,14 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"simulation backend (default {DEFAULT_BACKEND})",
         )
         p.add_argument(
-            "--block-size",
-            type=_non_negative_int,
-            default=0,
-            metavar="N",
-            help="instants per block of the vectorized backend "
-            f"(default {DEFAULT_BLOCK_SIZE}; ignored by the other backends)",
-        )
-        p.add_argument(
             "--no-cache",
             action="store_true",
             help="bypass the persistent artifact cache for this run: neither "
@@ -642,7 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyse = sub.add_parser("analyse", help="run the complete tool chain and print every report")
     add_common(analyse)
-    analyse.add_argument("--hyperperiods", type=int, default=2, help="hyper-periods to simulate (default 2)")
+    analyse.add_argument(
+        "--hyperperiods", type=_non_negative_int, default=2,
+        help="hyper-periods to simulate (default 2; 0 skips the simulation)",
+    )
     analyse.set_defaults(func=cmd_analyse)
 
     schedule = sub.add_parser("schedule", help="synthesise and print the static schedule")
@@ -657,19 +663,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="simulate the scheduled model and optionally dump a VCD trace")
     add_common(simulate)
-    simulate.add_argument("--hyperperiods", type=int, default=2, help="hyper-periods to simulate (default 2)")
+    simulate.add_argument(
+        "--hyperperiods", type=_positive_int, default=2,
+        help="hyper-periods to simulate (default 2)",
+    )
     simulate.add_argument("--vcd", help="path of the VCD trace to write")
     simulate.add_argument("--all-signals", action="store_true", help="record every signal in the VCD trace")
     simulate.add_argument(
         "--batch",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help="additionally run N randomised stimulus scenarios through one prepared backend",
     )
     simulate.add_argument(
         "--workers",
-        type=int,
+        type=_non_negative_int,
         default=1,
         metavar="W",
         help="shard the --batch scenarios over W worker processes "
@@ -677,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         help="a wall-clock timeout per scenario attempt of the --batch "
@@ -804,30 +813,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep directory for the shards and the manifest",
     )
     sweep_run.add_argument(
-        "--scenarios", type=int, default=1000, metavar="N",
+        "--scenarios", type=_non_negative_int, default=1000, metavar="N",
         help="scenarios to enumerate from the seeded random space (default 1000)",
     )
     sweep_run.add_argument(
         "--seed", type=int, default=0, help="seed of the scenario space (default 0)"
     )
     sweep_run.add_argument(
-        "--length", type=int, default=100, metavar="N",
+        "--length", type=_non_negative_int, default=100, metavar="N",
         help="horizon of every scenario, in instants (default 100)",
     )
     sweep_run.add_argument(
-        "--partition-size", type=int, default=1024, metavar="P",
+        "--partition-size", type=_positive_int, default=1024, metavar="P",
         help="scenarios per partition/shard — bounds peak memory (default 1024)",
     )
     sweep_run.add_argument(
-        "--min-period", type=int, default=2, metavar="N",
+        "--min-period", type=_positive_int, default=2, metavar="N",
         help="smallest random stimulus period (default 2)",
     )
     sweep_run.add_argument(
-        "--max-period", type=int, default=12, metavar="N",
+        "--max-period", type=_positive_int, default=12, metavar="N",
         help="largest random stimulus period (default 12)",
     )
     sweep_run.add_argument(
-        "--workers", type=int, default=1, metavar="W",
+        "--workers", type=_non_negative_int, default=1, metavar="W",
         help="worker processes per partition (0 = one per core)",
     )
     sweep_run.add_argument(
@@ -835,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also record a change-log table over the comma-separated SIGNALS",
     )
     sweep_run.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_positive_seconds, default=None, metavar="SECONDS",
         help="supervise each partition with a per-scenario wall-clock timeout",
     )
     sweep_run.add_argument(
@@ -872,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
         "column<=value...",
     )
     sweep_query.add_argument(
-        "--limit", type=int, default=None, metavar="N",
+        "--limit", type=_non_negative_int, default=None, metavar="N",
         help="stop after N rows",
     )
     sweep_query.set_defaults(func=cmd_sweep)

@@ -31,7 +31,7 @@ from ..aadl.parser import parse_string
 from ..aadl.printer import render_model
 from ..aadl.validation import validate
 from ..scheduling.analysis import SchedulabilityReport, SynchronizabilityReport, analyse_schedulability, analyse_synchronizability
-from ..scheduling.static_scheduler import SchedulingPolicy, StaticSchedule
+from ..scheduling.static_scheduler import StaticSchedule
 from ..scheduling.task import TaskSet, task_set_from_threads
 from ..sig.analysis import (
     ClockReport,
@@ -43,7 +43,7 @@ from ..sig.analysis import (
 )
 from ..sig.calculus_modular import ModularClockCalculus, ModularStats
 from ..sig.engine import DEFAULT_BACKEND, create_backend, default_scenario
-from ..sig.process import Direction, ProcessModel
+from ..sig.process import ProcessModel
 from ..sig.profiling import GENERIC_PROCESSOR, CostModel, DynamicProfile, Profiler
 from ..sig.simulator import SimulationTrace
 from ..sig.sinks import MaterializeSink, TraceSink
@@ -80,15 +80,6 @@ class ToolchainOptions:
     #: ``"reference"`` (fixed-point interpreter) or ``"vectorized"`` (numpy
     #: kernels over instant blocks).  All are trace-identical.
     backend: str = DEFAULT_BACKEND
-    #: Extra keyword options forwarded to the backend constructor, e.g.
-    #: ``{"block_size": 512}`` for the ``vectorized`` backend (CLI
-    #: ``--block-size``).  Backends ignore options they do not understand.
-    backend_options: Dict[str, object] = field(default_factory=dict)
-    #: Worker processes used for batched scenario sweeps run on top of this
-    #: tool-chain configuration (CLI ``--batch``, examples): ``1`` keeps the
-    #: sweep sequential, ``0`` uses one worker per core.  Traces and errors
-    #: are bit-identical whatever the value.
-    workers: int = 1
     #: Streaming trace sinks (:mod:`repro.sig.sinks`) driven during the
     #: simulation stage, instant by instant — e.g. a
     #: :class:`~repro.sig.vcd.StreamingVcdSink` writing the waveform to disk
@@ -99,20 +90,6 @@ class ToolchainOptions:
     #: only need streaming sinks: memory stays O(signals), and the
     #: trace-dependent stages (profiling, post-hoc VCD) are skipped.
     materialize_trace: bool = True
-    #: Wall-clock seconds per scenario attempt in batched sweeps (CLI
-    #: ``--timeout``); ``None`` sets no timeout.  Batches always run under
-    #: the supervised executor (:mod:`repro.sig.engine.supervisor`):
-    #: crashed/hung workers are replaced, failed attempts retried, and
-    #: unrecoverable scenarios surface as
-    #: :class:`~repro.sig.engine.supervisor.ScenarioFault` entries instead
-    #: of taking the sweep down.
-    timeout: Optional[float] = None
-    #: Retry attempts per failed scenario (CLI ``--retries``); ``None`` =
-    #: the supervisor's default (2).
-    retries: Optional[int] = None
-    #: Batch-wide circuit breaker: more than this many failed attempts
-    #: abandons the remaining retries (CLI ``--max-failures``).
-    max_failures: Optional[int] = None
     #: Persistent artifact store (:mod:`repro.store`) consulted before the
     #: analyse/translate stages and published to afterwards: ``None``/
     #: ``False`` disables persistence (the library default — runs are
@@ -391,12 +368,7 @@ def _run_simulation(result: ToolchainResult, options: ToolchainOptions) -> None:
     schedule = next(iter(result.schedules.values()))
     length = schedule.simulation_length(options.simulate_hyperperiods)
     scenario = default_scenario(execution_model, None, options.stimuli_periods)
-    backend = create_backend(
-        execution_model,
-        backend=options.backend,
-        strict=False,
-        **options.backend_options,
-    )
+    backend = create_backend(execution_model, backend=options.backend, strict=False)
     if options.sinks is None and options.materialize_trace:
         # The classic path: materialise the trace directly.
         result.trace = backend.run(

@@ -748,7 +748,7 @@ class _CancelSink(TraceSink):
     def on_header(self, header: Any) -> None:
         """Nothing to set up."""
 
-    def on_instant(self, instant: int, statuses: Any, values: Any) -> None:
+    def on_instant(self, instant: int, values: Any) -> None:
         """Abort the run as soon as cancellation is requested."""
         if self._cancelled.is_set():
             raise _StreamCancelled()
@@ -778,9 +778,9 @@ class _TrackedSink(TraceSink):
         """Delegate to the wrapped sink."""
         self._sink.on_header(header)
 
-    def on_instant(self, instant: int, statuses: Any, values: Any) -> None:
+    def on_instant(self, instant: int, values: Any) -> None:
         """Delegate to the wrapped sink."""
-        self._sink.on_instant(instant, statuses, values)
+        self._sink.on_instant(instant, values)
 
     def on_close(self) -> None:
         """Delegate, then count the close."""

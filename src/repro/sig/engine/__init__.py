@@ -10,8 +10,7 @@ implementations:
 * ``compiled`` — the plan executor (compile once, run many scenarios);
 * ``vectorized`` — numpy kernels over instant blocks for the stateless
   strata of the plan plus scan kernels for delay recurrences and clustered
-  residual sweeps (:mod:`repro.sig.engine.vectorized`); soft-depends on
-  numpy and degrades to ``compiled`` with a warning when it is missing.
+  residual sweeps (:mod:`repro.sig.engine.vectorized`).
 
 Use :func:`simulate` for a single scenario, :func:`simulate_batch` to run a
 whole batch through one prepared backend (``workers=N`` shards it over
@@ -32,7 +31,7 @@ however many instants the scenario has.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from ..process import ProcessModel
 from ..scenario import Scenario
@@ -64,7 +63,6 @@ from .vectorized import (
     VectorPlanStatistics,
     VectorizedBackend,
     compile_vectorized,
-    numpy_available,
 )
 
 
@@ -75,7 +73,6 @@ def simulate(
     strict: bool = True,
     backend: str = DEFAULT_BACKEND,
     sinks: Optional[SinkOrSinks] = None,
-    backend_options: Optional[Mapping[str, object]] = None,
     length: Optional[int] = None,
 ) -> Optional[SimulationTrace]:
     """One-shot helper: prepare the chosen backend and run *scenario*.
@@ -86,14 +83,11 @@ def simulate(
     :class:`~repro.sig.sinks.TraceSink` or a list) the run streams each
     instant into them and returns ``None`` — O(signals) memory however long
     the scenario; include a :class:`~repro.sig.sinks.MaterializeSink` to
-    also keep the full trace.  *backend_options* are forwarded to the
-    backend constructor (e.g. ``{"block_size": 512}`` for ``vectorized``).
-    *length* overrides the scenario's default horizon (required when the
-    scenario is unbounded, see :class:`~repro.sig.scenario.Scenario`).
+    also keep the full trace.  *length* overrides the scenario's default
+    horizon (required when the scenario is unbounded, see
+    :class:`~repro.sig.scenario.Scenario`).
     """
-    runner = create_backend(
-        process, backend=backend, strict=strict, **dict(backend_options or {})
-    )
+    runner = create_backend(process, backend=backend, strict=strict)
     return runner.run(scenario, record=record, sinks=sinks, length=length)
 
 
@@ -128,7 +122,6 @@ __all__ = [
     "create_backend",
     "default_scenario",
     "default_worker_count",
-    "numpy_available",
     "run_batch_supervised",
     "simulate",
     "simulate_batch",

@@ -14,8 +14,7 @@ that can run :class:`~repro.sig.simulator.Scenario` objects and produce
 * :class:`~repro.sig.engine.vectorized.VectorizedBackend` (registered by
   :mod:`repro.sig.engine.vectorized`) — numpy kernels over instant blocks
   for the stateless strata of the plan, scan kernels for delay
-  recurrences, clustered per-instant sweep for the residue; degrades to
-  the compiled executor when numpy is missing.
+  recurrences, clustered per-instant sweep for the residue.
 
 All backends produce bit-identical traces and raise the same simulation
 errors; the integration tests ``tests/integration/test_backend_parity.py``
@@ -27,7 +26,7 @@ in by subclassing :class:`SimulationBackend` and registering in
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Type
+from typing import Dict, Iterable, List, Optional, Type
 
 from ..process import ProcessModel
 from ..scenario import Scenario
@@ -47,11 +46,7 @@ class SimulationBackend:
     #: Registry key and display name of the backend.
     name: str = "abstract"
 
-    def __init__(self, process: ProcessModel, strict: bool = True, **options: Any) -> None:
-        # Backend-specific options (e.g. the vectorized backend's
-        # ``block_size``) arrive as keywords; options a backend does not
-        # understand are ignored, so one ``backend_options`` mapping can be
-        # threaded through the generic entry points whatever the backend.
+    def __init__(self, process: ProcessModel, strict: bool = True) -> None:
         self.strict = strict
 
     def run(
@@ -81,8 +76,8 @@ class ReferenceBackend(SimulationBackend):
 
     name = "reference"
 
-    def __init__(self, process: ProcessModel, strict: bool = True, **options: Any) -> None:
-        super().__init__(process, strict, **options)
+    def __init__(self, process: ProcessModel, strict: bool = True) -> None:
+        super().__init__(process, strict)
         self._simulator = Simulator(process, strict=strict)
 
     @property
@@ -107,8 +102,8 @@ class CompiledBackend(SimulationBackend):
 
     name = "compiled"
 
-    def __init__(self, process: ProcessModel, strict: bool = True, **options: Any) -> None:
-        super().__init__(process, strict, **options)
+    def __init__(self, process: ProcessModel, strict: bool = True) -> None:
+        super().__init__(process, strict)
         self._plan = compile_plan(process)
 
     @property
@@ -155,13 +150,12 @@ def create_backend(
     process: ProcessModel,
     backend: str = DEFAULT_BACKEND,
     strict: bool = True,
-    **options: Any,
 ) -> SimulationBackend:
     """Instantiate the backend registered under *backend* for *process*.
 
-    Extra keyword *options* are forwarded to the backend constructor (e.g.
-    ``block_size=`` for the ``vectorized`` backend); backends ignore the
-    options they do not understand.
+    Backend-specific options (the ``vectorized`` backend's ``block_size``,
+    ``scan_recurrences``, ``cluster_residue``) are set by constructing the
+    backend class directly.
     """
     try:
         factory = BACKENDS[backend]
@@ -169,7 +163,7 @@ def create_backend(
         raise ValueError(
             f"unknown simulation backend {backend!r}; available: {', '.join(sorted(BACKENDS))}"
         ) from None
-    return factory(process, strict=strict, **options)
+    return factory(process, strict=strict)
 
 
 __all__ = [

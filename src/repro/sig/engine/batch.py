@@ -122,6 +122,17 @@ class BatchResult:
         return "\n".join(lines)
 
 
+def check_length(length: Optional[int]) -> None:
+    """Refuse a negative horizon override before any scenario is prepared.
+
+    :meth:`~repro.sig.scenario.Scenario.run_length` raises the same error
+    per scenario, but inside a batch that would surface as a retried
+    infrastructure fault rather than as the caller's mistake.
+    """
+    if length is not None and length < 0:
+        raise ValueError(f"simulation length must be non-negative, got {length}")
+
+
 def simulate_batch(
     process: ProcessModel,
     scenarios: Sequence[Scenario],
@@ -131,7 +142,6 @@ def simulate_batch(
     collect_errors: bool = False,
     workers: int = 1,
     sink_factory: Optional[SinkFactory] = None,
-    backend_options: Optional[Mapping[str, Any]] = None,
     length: Optional[int] = None,
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
@@ -165,14 +175,11 @@ def simulate_batch(
     sinks are created, driven and harvested inside the workers, and only
     their results travel back.
 
-    ``backend_options`` are forwarded to the backend constructor (e.g.
-    ``{"block_size": 512}`` for the ``vectorized`` backend); unknown options
-    are ignored by the other backends.
-
     ``length`` overrides every scenario's horizon — one *unbounded*
     symbolic scenario (``Scenario(None)``) can therefore be reused across
     sweeps of different lengths, and ships to workers as a few bytes of
-    rules instead of per-instant lists.
+    rules instead of per-instant lists.  A negative ``length`` is a
+    :class:`ValueError` before any scenario runs.
 
     Every batch runs through the supervised executor
     (:func:`~repro.sig.engine.supervisor.run_batch_supervised`): crashed or
@@ -194,15 +201,15 @@ def simulate_batch(
     :class:`~repro.sig.engine.backends.SimulationBackend` — the serving
     layer's warm path, where the plan-cache entry holds the backend
     resident across requests and ``compile_seconds`` reports ~0.  When
-    given, ``process``/``backend``/``strict``/``backend_options`` are
-    ignored (the runner already embodies them).
+    given, ``process``/``backend``/``strict`` are ignored (the runner
+    already embodies them); it is also how a batch runs on a backend built
+    with its own options, e.g. ``VectorizedBackend(model, block_size=64)``.
     """
+    check_length(length)
     record = list(record) if record is not None else None
     start = time.perf_counter()
     if runner is None:
-        runner = create_backend(
-            process, backend=backend, strict=strict, **dict(backend_options or {})
-        )
+        runner = create_backend(process, backend=backend, strict=strict)
     compiled_at = time.perf_counter()
 
     count = len(scenarios)

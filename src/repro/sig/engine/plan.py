@@ -952,9 +952,8 @@ class ExecutionPlan:
 
                 if sink_list:
                     row = read_row(instant, vals)
-                    statuses = tuple([value is not ABSENT for value in row])
                     for sink in sink_list:
-                        sink.on_instant(instant, statuses, row)
+                        sink.on_instant(instant, row)
         finally:
             # Sinks close whatever happens, so file-backed sinks flush even
             # when the run aborts on a simulation error.

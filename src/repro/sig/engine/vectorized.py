@@ -57,23 +57,14 @@ sink extends its flows column-wise); every other run gets the block
 instant by instant, so each sink sees instant *t* before any sink sees
 *t + 1* and a sink that aborts the run leaves the same partial output as
 on the compiled backend.
-
-``numpy`` is a **soft dependency**: when it is not importable the
-:class:`VectorizedBackend` degrades to the compiled plan executor with a
-:class:`RuntimeWarning` — no module in :mod:`repro` imports numpy at the
-top level unconditionally.
 """
 
 from __future__ import annotations
 
-import warnings as _warnings_module
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-try:  # soft dependency: the whole backend degrades gracefully without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
+import numpy as _np
 
 from ..expressions import (
     ClockDifference,
@@ -111,31 +102,13 @@ from .plan import (
 #: Default number of instants evaluated per block.
 DEFAULT_BLOCK_SIZE = 1024
 
-#: Message of the :class:`RuntimeWarning` raised when numpy is unavailable.
-NUMPY_FALLBACK_MESSAGE = (
-    "numpy is not available; the 'vectorized' backend falls back to the "
-    "'compiled' execution plan"
-)
-
-
-def numpy_available() -> bool:
-    """``True`` when numpy could be imported (the kernels are usable)."""
-    return _np is not None
-
 
 class _FallbackBlock(Exception):
     """Internal signal: this block must be replayed through the pure sweep."""
 
 
-_BOOL_KERNEL = None
-
-
-def _bool_kernel():
-    """The cached ``frompyfunc(bool)`` kernel used for sampling conditions."""
-    global _BOOL_KERNEL
-    if _BOOL_KERNEL is None:
-        _BOOL_KERNEL = _np.frompyfunc(bool, 1, 1)
-    return _BOOL_KERNEL
+#: The ``frompyfunc(bool)`` kernel used for sampling conditions.
+_BOOL_KERNEL = _np.frompyfunc(bool, 1, 1)
 
 
 #: Runtime *kind* of a value column: generic Python objects, native float64
@@ -145,8 +118,6 @@ def _bool_kernel():
 #: boundary turns their entries back into the exact Python objects the
 #: interpreter would have produced, so traces stay bit-identical.
 _OBJ, _FLT, _BOOL = 0, 1, 2
-
-_TYPED_OPS: Optional[Dict[str, Tuple[Any, int, int]]] = None
 
 
 def _np_min(a, b):
@@ -159,33 +130,29 @@ def _np_max(a, b):
     return _np.where(b > a, b, a)
 
 
-def _typed_ops() -> Dict[str, Tuple[Any, int, int]]:
-    """``op -> (numpy impl, operand kind, result kind)`` for the native
-    kernels whose results are element-for-element identical to the Python
-    stepwise operators (``/`` and ``%`` are excluded: they raise on zero
-    divisors where numpy would not)."""
-    global _TYPED_OPS
-    if _TYPED_OPS is None:
-        _TYPED_OPS = {
-            "+": (_np.add, _FLT, _FLT),
-            "-": (_np.subtract, _FLT, _FLT),
-            "*": (_np.multiply, _FLT, _FLT),
-            "neg": (_np.negative, _FLT, _FLT),
-            "abs": (_np.absolute, _FLT, _FLT),
-            "min": (_np_min, _FLT, _FLT),
-            "max": (_np_max, _FLT, _FLT),
-            "<": (_np.less, _FLT, _BOOL),
-            "<=": (_np.less_equal, _FLT, _BOOL),
-            ">": (_np.greater, _FLT, _BOOL),
-            ">=": (_np.greater_equal, _FLT, _BOOL),
-            "=": (_np.equal, _FLT, _BOOL),
-            "/=": (_np.not_equal, _FLT, _BOOL),
-            "and": (_np.logical_and, _BOOL, _BOOL),
-            "or": (_np.logical_or, _BOOL, _BOOL),
-            "xor": (_np.logical_xor, _BOOL, _BOOL),
-            "not": (_np.logical_not, _BOOL, _BOOL),
-        }
-    return _TYPED_OPS
+#: ``op -> (numpy impl, operand kind, result kind)`` for the native kernels
+#: whose results are element-for-element identical to the Python stepwise
+#: operators (``/`` and ``%`` are excluded: they raise on zero divisors
+#: where numpy would not).
+_TYPED_OPS: Dict[str, Tuple[Any, int, int]] = {
+    "+": (_np.add, _FLT, _FLT),
+    "-": (_np.subtract, _FLT, _FLT),
+    "*": (_np.multiply, _FLT, _FLT),
+    "neg": (_np.negative, _FLT, _FLT),
+    "abs": (_np.absolute, _FLT, _FLT),
+    "min": (_np_min, _FLT, _FLT),
+    "max": (_np_max, _FLT, _FLT),
+    "<": (_np.less, _FLT, _BOOL),
+    "<=": (_np.less_equal, _FLT, _BOOL),
+    ">": (_np.greater, _FLT, _BOOL),
+    ">=": (_np.greater_equal, _FLT, _BOOL),
+    "=": (_np.equal, _FLT, _BOOL),
+    "/=": (_np.not_equal, _FLT, _BOOL),
+    "and": (_np.logical_and, _BOOL, _BOOL),
+    "or": (_np.logical_or, _BOOL, _BOOL),
+    "xor": (_np.logical_xor, _BOOL, _BOOL),
+    "not": (_np.logical_not, _BOOL, _BOOL),
+}
 
 
 def _object_column(values, kind):
@@ -247,7 +214,7 @@ class _BlockContext:
         out = _np.zeros(self.size, dtype=bool)
         idx = mask.nonzero()[0]
         if idx.size:
-            out[idx] = _bool_kernel()(values[idx]).astype(bool)
+            out[idx] = _BOOL_KERNEL(values[idx]).astype(bool)
         return out
 
 
@@ -395,7 +362,7 @@ class _VectorCompiler:
         ]
         dynamic = [index for index, (is_const, _) in enumerate(args) if not is_const]
 
-        typed = _typed_ops().get(expr.op)
+        typed = _TYPED_OPS.get(expr.op)
         if typed is not None and len(expr.args) <= 2:
             typed_impl, operand_kind, result_kind = typed
             const_type = float if operand_kind == _FLT else bool
@@ -972,8 +939,6 @@ class VectorExecutionPlan:
         scan_recurrences: bool = True,
         cluster_residue: bool = True,
     ) -> None:
-        if _np is None:  # pragma: no cover - exercised by the no-numpy CI leg
-            raise RuntimeError("numpy is required to build a VectorExecutionPlan")
         self.plan = plan
         self.block_size = max(1, int(block_size))
         self.scan_recurrences = scan_recurrences
@@ -1439,9 +1404,8 @@ class VectorExecutionPlan:
             """Hand one finished instant of a replayed block to the sinks."""
             if sink_list:
                 row = read_row(instant, vals)
-                statuses = tuple([value is not ABSENT for value in row])
                 for sink in sink_list:
-                    sink.on_instant(instant, statuses, row)
+                    sink.on_instant(instant, row)
 
         state = [list(template) for template in plan._state_init]
         varmem = list(plan._nowrite_template)
@@ -1587,7 +1551,6 @@ class VectorExecutionPlan:
             columns = rule.block_columns(
                 start,
                 start + size,
-                _np,
                 typed=float if kind == _FLT else bool if kind == _BOOL else None,
             )
             if columns is not None:
@@ -1814,7 +1777,7 @@ def compile_vectorized(
     scan_recurrences: bool = True,
     cluster_residue: bool = True,
 ) -> VectorExecutionPlan:
-    """Compile *process* into a plan plus its vector strata (requires numpy)."""
+    """Compile *process* into a plan plus its vector strata."""
     return VectorExecutionPlan(
         compile_plan(process),
         block_size=block_size,
@@ -1826,15 +1789,12 @@ def compile_vectorized(
 class VectorizedBackend(SimulationBackend):
     """Block-vectorized executor: numpy strata over the compiled plan.
 
-    Construction options (ignored by the other backends): ``block_size``
-    (instants per block, default :data:`DEFAULT_BLOCK_SIZE`),
-    ``scan_recurrences`` (promote delay recurrences into scan stages,
-    default ``True``) and ``cluster_residue`` (partition the residual sweep
-    into independent clusters with a per-instant skip, default ``True``).
-
-    When numpy is not importable the backend warns (``RuntimeWarning``) and
-    degrades to the compiled plan executor: every run still produces the
-    exact same traces, just without the block kernels.
+    Construction options: ``block_size`` (instants per block, default
+    :data:`DEFAULT_BLOCK_SIZE`), ``scan_recurrences`` (promote delay
+    recurrences into scan stages, default ``True``) and ``cluster_residue``
+    (partition the residual sweep into independent clusters with a
+    per-instant skip, default ``True``).  Any other keyword is a
+    :class:`TypeError`.
     """
 
     name = "vectorized"
@@ -1846,23 +1806,18 @@ class VectorizedBackend(SimulationBackend):
         block_size: int = DEFAULT_BLOCK_SIZE,
         scan_recurrences: bool = True,
         cluster_residue: bool = True,
-        **options: Any,
     ) -> None:
-        super().__init__(process, strict, **options)
+        super().__init__(process, strict)
         self.block_size = max(1, int(block_size))
         self.scan_recurrences = scan_recurrences
         self.cluster_residue = cluster_residue
         self._plan = compile_plan(process)
-        if _np is None:
-            _warnings_module.warn(NUMPY_FALLBACK_MESSAGE, RuntimeWarning, stacklevel=2)
-            self._vector: Optional[VectorExecutionPlan] = None
-        else:
-            self._vector = VectorExecutionPlan(
-                self._plan,
-                block_size=self.block_size,
-                scan_recurrences=scan_recurrences,
-                cluster_residue=cluster_residue,
-            )
+        self._vector = VectorExecutionPlan(
+            self._plan,
+            block_size=self.block_size,
+            scan_recurrences=scan_recurrences,
+            cluster_residue=cluster_residue,
+        )
 
     @property
     def process(self) -> ProcessModel:
@@ -1875,8 +1830,8 @@ class VectorizedBackend(SimulationBackend):
         return self._plan
 
     @property
-    def vector_plan(self) -> Optional[VectorExecutionPlan]:
-        """The vector strata (``None`` when numpy is unavailable)."""
+    def vector_plan(self) -> VectorExecutionPlan:
+        """The vector strata the runs execute."""
         return self._vector
 
     def run(
@@ -1887,10 +1842,6 @@ class VectorizedBackend(SimulationBackend):
         length: Optional[int] = None,
     ) -> Optional[SimulationTrace]:
         """Execute one scenario in instant blocks (see :meth:`SimulationBackend.run`)."""
-        if self._vector is None:
-            return self._plan.run(
-                scenario, record=record, strict=self.strict, sinks=sinks, length=length
-            )
         return self._vector.run(
             scenario, record=record, strict=self.strict, sinks=sinks, length=length
         )
@@ -1925,10 +1876,8 @@ BACKENDS[VectorizedBackend.name] = VectorizedBackend
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
-    "NUMPY_FALLBACK_MESSAGE",
     "VectorExecutionPlan",
     "VectorPlanStatistics",
     "VectorizedBackend",
     "compile_vectorized",
-    "numpy_available",
 ]

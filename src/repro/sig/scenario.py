@@ -42,6 +42,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .values import ABSENT, is_absent
 
 #: Precompiled per-signal sampling closure: ``instant -> value-or-ABSENT``.
@@ -79,9 +81,7 @@ class InputRule:
         sample = self.sampler()
         return [sample(instant) for instant in range(start, stop)]
 
-    def block_columns(
-        self, start: int, stop: int, np: Any, typed: Optional[type] = None
-    ):
+    def block_columns(self, start: int, stop: int, typed: Optional[type] = None):
         """Synthesise numpy presence/value columns for ``[start, stop)``.
 
         Returns ``(mask, values, typed_values)`` where ``mask`` is a bool
@@ -135,9 +135,7 @@ class ConstantRule(InputRule):
         """A window of the constant value."""
         return [self.fill] * max(0, stop - start)
 
-    def block_columns(
-        self, start: int, stop: int, np: Any, typed: Optional[type] = None
-    ):
+    def block_columns(self, start: int, stop: int, typed: Optional[type] = None):
         """Full-presence columns of one shared fill value."""
         size = max(0, stop - start)
         fill = self.fill
@@ -149,7 +147,7 @@ class ConstantRule(InputRule):
         mask = np.ones(size, dtype=bool)
         values = np.empty(size, dtype=object)
         values.fill(fill)
-        return mask, values, _typed_fill(np, size, fill, typed)
+        return mask, values, _typed_fill(size, fill, typed)
 
 
 class PeriodicRule(InputRule):
@@ -185,9 +183,7 @@ class PeriodicRule(InputRule):
 
         return sample
 
-    def block_columns(
-        self, start: int, stop: int, np: Any, typed: Optional[type] = None
-    ):
+    def block_columns(self, start: int, stop: int, typed: Optional[type] = None):
         """Arithmetic presence mask: ``(arange - phase) % period == 0``."""
         size = max(0, stop - start)
         index = np.arange(start, start + size)
@@ -200,7 +196,7 @@ class PeriodicRule(InputRule):
         boxed = np.empty((), dtype=object)
         boxed[()] = self.fill
         values[mask] = boxed
-        return mask, values, _typed_fill(np, size, self.fill, typed)
+        return mask, values, _typed_fill(size, self.fill, typed)
 
 
 class SparseRule(InputRule):
@@ -279,9 +275,7 @@ class SparseRule(InputRule):
             index = self._sorted_instants = sorted(self.entries)
         return index[bisect_left(index, start):bisect_right(index, stop - 1)]
 
-    def block_columns(
-        self, start: int, stop: int, np: Any, typed: Optional[type] = None
-    ):
+    def block_columns(self, start: int, stop: int, typed: Optional[type] = None):
         """The base's columns with the overlay entries patched in."""
         size = max(0, stop - start)
         if self.base is None:
@@ -294,7 +288,7 @@ class SparseRule(InputRule):
                 else None
             )
         else:
-            base_columns = self.base.block_columns(start, stop, np, typed)
+            base_columns = self.base.block_columns(start, stop, typed)
             if base_columns is None:
                 return None
             mask, values, typed_values = base_columns
@@ -635,7 +629,7 @@ __all__ = [
 ]
 
 
-def _typed_fill(np: Any, size: int, fill: Any, typed: Optional[type]):
+def _typed_fill(size: int, fill: Any, typed: Optional[type]):
     """A native column of one fill value, when exactly representable.
 
     NaN floats stay on the object path: the typed round-trip would

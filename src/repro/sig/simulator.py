@@ -233,9 +233,8 @@ class Simulator:
                 env = self._step(instant, samplers, warnings)
                 if sink_list:
                     values = tuple([env.get(name, ABSENT) for name in recorded])
-                    statuses = tuple([value is not ABSENT for value in values])
                     for sink in sink_list:
-                        sink.on_instant(instant, statuses, values)
+                        sink.on_instant(instant, values)
         finally:
             close_sinks(sink_list)
         return materialize.trace if materialize is not None else None

@@ -14,9 +14,9 @@ The protocol is four calls, driven by every backend
 1. :meth:`TraceSink.on_header` — once per run, before the first instant,
    with a :class:`TraceHeader` describing the run (process name, scenario
    length, recorded signal names in record order, declared signal types);
-2. :meth:`TraceSink.on_instant` — once per instant, with the instant index,
-   a tuple of presence booleans and a tuple of values (one entry per
-   recorded name, ``ABSENT`` where the signal does not occur);
+2. :meth:`TraceSink.on_instant` — once per instant, with the instant index
+   and a tuple of values (one entry per recorded name, ``ABSENT`` where the
+   signal does not occur);
 3. :meth:`TraceSink.on_block` — instead of ``on_instant``, once per block
    of consecutive instants the vectorized executor resolved at once, with
    one column of values per recorded name, when the sink is the run's only
@@ -106,10 +106,9 @@ class TraceSink:
         """Called once per run before the first instant."""
         self.header = header
 
-    def on_instant(
-        self, instant: int, statuses: Tuple[bool, ...], values: Tuple[Any, ...]
-    ) -> None:
-        """Called once per instant with per-recorded-signal presence/values."""
+    def on_instant(self, instant: int, values: Tuple[Any, ...]) -> None:
+        """Called once per instant with one value per recorded name
+        (``ABSENT`` where the signal does not occur)."""
         raise NotImplementedError
 
     def on_block(self, start: int, columns: Sequence[Sequence[Any]]) -> None:
@@ -123,8 +122,7 @@ class TraceSink:
         instant through :meth:`on_instant`, in instant order.
         """
         for offset, values in enumerate(zip(*columns)):
-            statuses = tuple([value is not ABSENT for value in values])
-            self.on_instant(start + offset, statuses, values)
+            self.on_instant(start + offset, values)
 
     def on_close(self) -> None:
         """Called once per run after the last instant (even on failure)."""
@@ -212,9 +210,7 @@ class MaterializeSink(TraceSink):
         self._distinct = len(self._lists) == len(self._plan)
         self._instants_seen = 0
 
-    def on_instant(
-        self, instant: int, statuses: Tuple[bool, ...], values: Tuple[Any, ...]
-    ) -> None:
+    def on_instant(self, instant: int, values: Tuple[Any, ...]) -> None:
         for out, value in zip(self._plan, values):
             out.append(value)
         self._instants_seen = instant + 1
@@ -457,9 +453,7 @@ class StatisticsSink(TraceSink):
         ]
         self._instants_seen = 0
 
-    def on_instant(
-        self, instant: int, statuses: Tuple[bool, ...], values: Tuple[Any, ...]
-    ) -> None:
+    def on_instant(self, instant: int, values: Tuple[Any, ...]) -> None:
         for entry, value in zip(self._plan, values):
             entry.observe(instant, value)
         self._instants_seen = instant + 1
@@ -508,9 +502,7 @@ class WindowSink(TraceSink):
         self._rows.clear()
         self._closed_trace = None
 
-    def on_instant(
-        self, instant: int, statuses: Tuple[bool, ...], values: Tuple[Any, ...]
-    ) -> None:
+    def on_instant(self, instant: int, values: Tuple[Any, ...]) -> None:
         """Push one instant into the ring (evicting the oldest when full)."""
         self._rows.append((instant, values))
 
@@ -637,9 +629,7 @@ class DeltaSink(TraceSink):
         self._instants_seen = 0
         self._log = None
 
-    def on_instant(
-        self, instant: int, statuses: Tuple[bool, ...], values: Tuple[Any, ...]
-    ) -> None:
+    def on_instant(self, instant: int, values: Tuple[Any, ...]) -> None:
         """Fold one instant in, retaining it only when something changed."""
         changes: Optional[Dict[str, Any]] = None
         previous = self._previous
@@ -764,9 +754,8 @@ def replay_trace(
         flows = [trace.flows.get(name, _ALWAYS_ABSENT) for name in names]
         for instant in range(trace.length):
             values = tuple(flow[instant] for flow in flows)
-            statuses = tuple(value is not ABSENT for value in values)
             for sink in sink_list:
-                sink.on_instant(instant, statuses, values)
+                sink.on_instant(instant, values)
     finally:
         close_sinks(sink_list)
 

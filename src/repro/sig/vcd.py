@@ -218,9 +218,7 @@ class StreamingVcdSink(TraceSink):
                 write(f"bz {var.identifier}\n")
         write("$end\n")
 
-    def on_instant(
-        self, instant: int, statuses: Tuple[bool, ...], values: Tuple[Any, ...]
-    ) -> None:
+    def on_instant(self, instant: int, values: Tuple[Any, ...]) -> None:
         changes: List[str] = []
         previous = self._previous
         for name, value in zip(self._names, values):

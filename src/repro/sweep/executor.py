@@ -44,10 +44,10 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..sig.engine.backends import DEFAULT_BACKEND, create_backend
-from ..sig.engine.batch import simulate_batch
+from ..sig.engine.batch import check_length, simulate_batch
 from ..sig.process import ProcessModel
 from ..sig.sinks import DeltaSink, StatisticsSink, TraceStatistics
 from .manifest import (
@@ -228,7 +228,6 @@ def run_sweep(
     record: Optional[Iterable[str]] = None,
     strict: bool = True,
     backend: str = DEFAULT_BACKEND,
-    backend_options: Optional[Mapping[str, Any]] = None,
     workers: int = 1,
     length: Optional[int] = None,
     deltas: Optional[Iterable[str]] = None,
@@ -252,9 +251,9 @@ def run_sweep(
     as in ``simulate_batch`` (required for unbounded symbolic scenarios);
     ``deltas`` adds a change-log table over the named signals; the
     supervision knobs (``timeout``/``retries``/``backoff``/``max_failures``/
-    ``scenario_budget``/``fault_plan``) are PR 7's, applied per partition
-    (a ``fault_plan``'s indices are batch-local to each partition), with
-    faults re-keyed to global scenario ids in the ``scenarios`` table.
+    ``scenario_budget``/``fault_plan``) are ``simulate_batch``'s, applied
+    per partition (a ``fault_plan``'s indices are batch-local to each
+    partition), with faults re-keyed to global scenario ids in the ``scenarios`` table.
 
     ``shard_format`` must be ``"jsonl"``, the only shard format (the
     argument stays for callers that name it).  An existing manifest is
@@ -269,6 +268,7 @@ def run_sweep(
     """
     if partition_size <= 0:
         raise ValueError(f"partition_size must be positive, got {partition_size}")
+    check_length(length)
     record_list = list(record) if record is not None else None
     deltas_tuple = tuple(deltas) if deltas is not None else None
     if shard_format != SHARD_FORMAT:
@@ -326,9 +326,7 @@ def run_sweep(
     runner = None
     started = time.perf_counter()
     if pending:
-        runner = create_backend(
-            process, backend=backend, strict=strict, **dict(backend_options or {})
-        )
+        runner = create_backend(process, backend=backend, strict=strict)
     result.compile_seconds = time.perf_counter() - started
     factory = _SweepSinks(deltas_tuple)
     run_started = time.perf_counter()

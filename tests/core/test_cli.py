@@ -106,9 +106,9 @@ class TestCommands:
             main(["simulate", model_file, "--no-trace", "--vcd", str(tmp_path / "t.vcd")])
         assert exit_info.value.code == 2
 
-    def test_simulate_vectorized_backend_with_block_size(self, model_file, capsys):
+    def test_simulate_vectorized_backend(self, model_file, capsys):
         code = main(["simulate", model_file, "--hyperperiods", "1",
-                     "--backend", "vectorized", "--block-size", "16", "--batch", "2"])
+                     "--backend", "vectorized", "--batch", "2"])
         out = capsys.readouterr().out
         assert code == 0
         assert "[vectorized backend]" in out
@@ -255,6 +255,56 @@ class TestBadInputs:
         assert captured.err.startswith(f"error: {message}")
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
+
+
+class TestBadNumericArguments:
+    """A numeric flag out of its range is one ``error:`` line and exit code
+    2, before any model is loaded or any store is written."""
+
+    NEGATIVE = "expected a non-negative integer"
+    POSITIVE = "expected a positive integer"
+    SECONDS = "expected a positive, finite number of seconds"
+
+    BAD_ARGUMENTS = {
+        "analyse-negative-hyperperiods": (["analyse", "--hyperperiods", "-1"], NEGATIVE),
+        "simulate-zero-hyperperiods": (["simulate", "--hyperperiods", "0"], POSITIVE),
+        "simulate-negative-batch": (["simulate", "--batch", "-3"], NEGATIVE),
+        "simulate-negative-workers": (["simulate", "--workers", "-2"], NEGATIVE),
+        "simulate-negative-timeout": (["simulate", "--timeout", "-1"], SECONDS),
+        "simulate-zero-timeout": (["simulate", "--timeout", "0"], SECONDS),
+        "simulate-nan-timeout": (["simulate", "--timeout", "nan"], SECONDS),
+        "simulate-infinite-timeout": (["simulate", "--timeout", "inf"], SECONDS),
+        "simulate-negative-retries": (["simulate", "--retries", "-1"], NEGATIVE),
+        "simulate-non-integer-batch": (["simulate", "--batch", "two"], NEGATIVE),
+        "sweep-negative-scenarios": (["sweep", "run", "--scenarios", "-2"], NEGATIVE),
+        "sweep-zero-partition-size": (["sweep", "run", "--partition-size", "0"], POSITIVE),
+        "sweep-negative-length": (["sweep", "run", "--length", "-4"], NEGATIVE),
+        "sweep-zero-min-period": (["sweep", "run", "--min-period", "0"], POSITIVE),
+        "sweep-inverted-periods": (
+            ["sweep", "run", "--min-period", "9", "--max-period", "3"],
+            "--min-period 9 exceeds --max-period 3",
+        ),
+        "sweep-negative-workers": (["sweep", "run", "--workers", "-2"], NEGATIVE),
+        "sweep-negative-timeout": (["sweep", "run", "--timeout", "-1"], SECONDS),
+        "sweep-nan-timeout": (["sweep", "run", "--timeout", "nan"], SECONDS),
+    }
+
+    @pytest.mark.parametrize("bad_argument", sorted(BAD_ARGUMENTS))
+    def test_bad_numeric_argument_is_a_clean_usage_error(self, bad_argument, tmp_path, capsys):
+        argv, message = self.BAD_ARGUMENTS[bad_argument]
+        out = tmp_path / "sweep"
+        words = 2 if argv[0] == "sweep" else 1  # the subcommand itself
+        argv = argv[:words] + ["producer_consumer", "--no-cache"] + argv[words:]
+        if argv[0] == "sweep":
+            argv += ["--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestSweepStoreBadInputs:

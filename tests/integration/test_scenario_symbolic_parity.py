@@ -15,7 +15,7 @@ import pytest
 from repro.casestudies import catalog_names, load_case_study, scenario_sweep
 from repro.core import ToolchainOptions, TranslationConfig, run_toolchain
 from repro.scheduling.static_scheduler import SchedulingError
-from repro.sig.engine import simulate, simulate_batch
+from repro.sig.engine import VectorizedBackend, create_backend, simulate_batch
 from repro.sig.scenario import ExplicitRule
 
 
@@ -84,26 +84,17 @@ def test_symbolic_scenarios_match_materialized(name, backend, translated, recwar
         if stimuli:
             scenario.set_at(stimuli[0], {0: True, min(3, scenario.length - 1): True})
 
-    backend_options = {"block_size": 13} if backend == "vectorized" else None
+    if backend == "vectorized":
+        runner = VectorizedBackend(system_model, strict=False, block_size=13)
+    else:
+        runner = create_backend(system_model, backend, strict=False)
     for index, scenario in enumerate(scenarios):
         eager = scenario.materialized()
         assert all(
             isinstance(rule, ExplicitRule) for rule in eager.inputs.values()
         )
-        symbolic_trace = simulate(
-            system_model,
-            scenario,
-            strict=False,
-            backend=backend,
-            backend_options=backend_options,
-        )
-        eager_trace = simulate(
-            system_model,
-            eager,
-            strict=False,
-            backend=backend,
-            backend_options=backend_options,
-        )
+        symbolic_trace = runner.run(scenario)
+        eager_trace = runner.run(eager)
         _assert_traces_identical(
             eager_trace, symbolic_trace, f"{name}, {backend}, scenario {index}"
         )

@@ -26,16 +26,8 @@ from repro.serve.service import ServiceConfig, SimulationService
 from repro.sig.engine import create_backend
 from tests.serve.live import call, serving
 
-try:
-    import numpy  # noqa: F401
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    HAS_NUMPY = False
-
-#: Backends under parity test.  ``vectorized`` without numpy degrades to the
-#: compiled plan, so testing it there would duplicate ``compiled``.
-BACKEND_NAMES = ["reference", "compiled"] + (["vectorized"] if HAS_NUMPY else [])
+#: Backends under parity test.
+BACKEND_NAMES = ["reference", "compiled", "vectorized"]
 
 #: Reference-interpreter affordability cap, mirroring test_backend_parity.
 LENGTH_CAP = 48

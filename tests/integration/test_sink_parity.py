@@ -220,7 +220,7 @@ class _AbortAtSink(TraceSink):
     def __init__(self, at):
         self.at = at
 
-    def on_instant(self, instant, statuses, values):
+    def on_instant(self, instant, values):
         if instant == self.at:
             raise _Abort(instant)
 

@@ -18,7 +18,6 @@ from repro.scheduling.static_scheduler import SchedulingError
 from repro.sig.engine import (
     CompiledBackend,
     VectorizedBackend,
-    numpy_available,
     simulate_batch,
 )
 from repro.sig.sinks import MaterializeSink, StatisticsSink
@@ -132,9 +131,8 @@ def test_vectorized_batch_workers_identical(name, translated):
         scenarios,
         strict=False,
         collect_errors=True,
-        backend="vectorized",
         workers=2,
-        backend_options={"block_size": 7},
+        runner=VectorizedBackend(system_model, strict=False, block_size=7),
     )
     assert len(compiled.traces) == len(sharded.traces)
     assert [(i, type(e).__name__, str(e)) for i, e in compiled.errors] == [
@@ -176,10 +174,9 @@ def test_vectorized_streamed_batch_across_workers(translated):
         scenarios,
         strict=False,
         collect_errors=True,
-        backend="vectorized",
         workers=2,
         sink_factory=_stats_factory,
-        backend_options={"block_size": 9},
+        runner=VectorizedBackend(system_model, strict=False, block_size=9),
     )
     assert sharded.streamed and compiled.streamed
     for reference_stats, stats in zip(compiled.sink_results, sharded.sink_results):
@@ -233,13 +230,12 @@ def _knob_backend(system_model, knobs, strict=False):
     effect on the compiled plan."""
     options = {"block_size": 13, **knobs}
     backend = VectorizedBackend(system_model, strict=strict, **options)
-    if numpy_available():
-        stats = backend.vector_plan.statistics()
-        assert stats.block_size == options["block_size"]
-        if not knobs.get("scan_recurrences", True):
-            assert stats.recurrence == 0
-        if not knobs.get("cluster_residue", True):
-            assert stats.clusters == 0
+    stats = backend.vector_plan.statistics()
+    assert stats.block_size == options["block_size"]
+    if not knobs.get("scan_recurrences", True):
+        assert stats.recurrence == 0
+    if not knobs.get("cluster_residue", True):
+        assert stats.clusters == 0
     return backend
 
 

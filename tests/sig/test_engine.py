@@ -514,6 +514,15 @@ class TestBatch:
             )
             assert [trace.signals() for trace in batch.traces] == [["count"], ["count"]]
 
+    def test_negative_length_is_refused_before_any_scenario_runs(self):
+        """A negative horizon is the caller's mistake, not a scenario fault
+        to retry with backoff."""
+        model = counter_model()
+        scenarios = [Scenario(None).set_always("tick")] * 2
+        with pytest.raises(ValueError, match="non-negative"):
+            simulate_batch(model, scenarios, length=-1)
+        assert simulate_batch(model, scenarios, length=0).ok
+
     def test_batch_reference_backend(self):
         model = counter_model()
         result = simulate_batch(model, [Scenario(3).set_always("tick")], backend="reference")

@@ -2,12 +2,11 @@
 
 Catalog-wide parity lives in ``tests/integration/test_vectorized_parity.py``;
 this module exercises the machinery directly: stratum partitioning, block
-boundaries, fallback on warnings, the numpy-absent degradation, pickling and
-buffer reuse.
+boundaries, fallback on warnings, constructor options, pickling and buffer
+reuse.
 """
 
 import pickle
-import warnings
 
 import pytest
 
@@ -18,10 +17,8 @@ from repro.sig.engine import (
     backend_names,
     compile_vectorized,
     create_backend,
-    numpy_available,
     simulate,
 )
-from repro.sig.engine import vectorized as vectorized_module
 from repro.sig.engine.backends import CompiledBackend
 from repro.sig.expressions import STEPWISE_OPERATIONS, register_stepwise_operation
 from repro.sig.process import ProcessModel
@@ -65,7 +62,6 @@ def test_vectorized_backend_is_registered():
     assert "vectorized" in backend_names()
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_partition_statistics():
     plan = compile_vectorized(_numeric_model(), block_size=8)
     stats = plan.statistics()
@@ -83,7 +79,6 @@ def test_partition_statistics():
     assert "recurrence" in stats.summary()
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_partition_statistics_without_recurrence_scan():
     """With the scan stage off, the delay pair stays residual and the alarm
     moves to the post-stratum, as before the recurrence kernels existed."""
@@ -99,7 +94,6 @@ def test_partition_statistics_without_recurrence_scan():
     assert stats.clusters == 0
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 @pytest.mark.parametrize("block_size", [1, 3, 7, 32, 1024])
 def test_block_boundaries_preserve_state(block_size):
     """Delay state must flow across block boundaries for any block size."""
@@ -118,7 +112,6 @@ def test_block_boundaries_preserve_state(block_size):
             assert type(expected) is type(actual)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_warning_blocks_fall_back_to_pure_sweep():
     """A clock violation inside a vectorised expression must replay the
     block purely, reproducing the compiled warnings verbatim."""
@@ -150,7 +143,6 @@ def test_warning_blocks_fall_back_to_pure_sweep():
         VectorizedBackend(model, strict=True, block_size=4).run(scenario)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_user_registered_operator_stays_residual():
     """User stepwise functions may be stateful: never vectorised, and the
     traces still match the compiled backend."""
@@ -170,27 +162,6 @@ def test_user_registered_operator_stays_residual():
         STEPWISE_OPERATIONS.pop("vec_unit_scale", None)
 
 
-def test_numpy_absence_falls_back_to_compiled(monkeypatch):
-    """Without numpy the backend warns and degrades to the compiled plan."""
-    monkeypatch.setattr(vectorized_module, "_np", None)
-    model = _numeric_model()
-    scenario = _scenario(20)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        backend = VectorizedBackend(model, strict=False)
-    assert any(
-        issubclass(w.category, RuntimeWarning)
-        and "falls back" in str(w.message)
-        for w in caught
-    )
-    assert backend.vector_plan is None
-    reference = CompiledBackend(model, strict=False).run(scenario)
-    trace = backend.run(scenario)
-    assert trace.flows == reference.flows
-    assert trace.warnings == reference.warnings
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_backend_pickles_and_recompiles():
     backend = VectorizedBackend(_numeric_model(), strict=False, block_size=11)
     clone = pickle.loads(pickle.dumps(backend))
@@ -199,7 +170,6 @@ def test_backend_pickles_and_recompiles():
     assert clone.run(scenario).flows == backend.run(scenario).flows
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_repeated_runs_share_no_state():
     """Back-to-back runs on one backend start from fresh state buffers."""
     model = _numeric_model()
@@ -211,7 +181,6 @@ def test_repeated_runs_share_no_state():
         assert first.flows == again.flows
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_nan_inputs_keep_object_identity():
     """NaN compares equal only by identity, so passed-through NaN values
     must reach the trace as the *same* object the scenario supplied — the
@@ -246,7 +215,6 @@ def test_nan_inputs_keep_object_identity():
     assert vec2.flows == ref2.flows
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_recurrence_scan_matches_compiled_across_block_sizes():
     """The scanned accumulator pair must match the compiled per-instant
     fold bit for bit, including across block boundaries."""
@@ -261,7 +229,6 @@ def test_recurrence_scan_matches_compiled_across_block_sizes():
         assert backend.vector_plan.fallback_blocks == 0
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_recurrence_clock_mismatch_falls_back():
     """An accumulator clocked apart from its mask source must fall the
     block back to the pure sweep and still match the compiled trace."""
@@ -292,7 +259,6 @@ def test_recurrence_clock_mismatch_falls_back():
     )
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_unsynchronised_recurrence_is_not_promoted():
     """A delay pair with no block-available clock source deadlocks in the
     reference; the scan must leave it alone so the error is preserved."""
@@ -314,7 +280,6 @@ def test_unsynchronised_recurrence_is_not_promoted():
         CompiledBackend(model, strict=False).run(scenario)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_residue_clusters_preserve_instantaneous_cycle():
     """Independent residual pipelines split into clusters, and a blocked
     cluster still reports the reference's instantaneous-cycle error."""
@@ -347,7 +312,6 @@ def test_residue_clusters_preserve_instantaneous_cycle():
         STEPWISE_OPERATIONS.pop("vec_unit_id_a", None)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_cluster_skip_copies_previous_instant():
     """A stateless residual cluster whose external inputs repeat is
     resolved once per block and copied afterwards — observably identical,
@@ -382,24 +346,24 @@ def test_cluster_skip_copies_previous_instant():
         STEPWISE_OPERATIONS.pop("vec_unit_noop", None)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_backend_options_thread_through_entry_points():
+def test_unknown_backend_keywords_raise():
+    """Backend options go to the backend's own constructor; a keyword no
+    constructor takes is a TypeError, never silently dropped."""
     model = _numeric_model()
-    backend = create_backend(model, "vectorized", strict=False, block_size=5)
+    with pytest.raises(TypeError):
+        create_backend(model, "compiled", strict=False, block_size=4)
+    with pytest.raises(TypeError):
+        create_backend(model, "vectorized", strict=False, block_size=4)
+    with pytest.raises(TypeError):
+        VectorizedBackend(model, strict=False, blok_size=4)
+    with pytest.raises(TypeError):
+        simulate(model, _scenario(10), backend="vectorized", block_size=4)
+    backend = VectorizedBackend(model, strict=False, block_size=5)
     assert backend.block_size == 5
-    trace = simulate(
-        model,
-        _scenario(10),
-        strict=False,
-        backend="vectorized",
-        backend_options={"block_size": 5},
-    )
-    assert trace.length == 10
-    # Unknown options are ignored by the other backends.
-    create_backend(model, "compiled", strict=False, block_size=5)
+    assert backend.vector_plan is not None
+    assert backend.run(_scenario(10)).length == 10
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_scenario_driving_a_vectorised_target_wins():
     """A scenario flow on an undeclared name that happens to be a target
     disables its kernel, exactly like the compiled backend skips its work

@@ -6,7 +6,7 @@ non-affine steps (``*``, ``min``, ``max``) that take the generated scalar
 loop — with random initial values, random input presence patterns, random
 block sizes, and checks the vectorized backend against the compiled plan: identical flows (values and
 Python value types) and warnings whatever the partitioning.  Skips cleanly
-when hypothesis or numpy is missing.
+when hypothesis is missing.
 """
 
 import pytest
@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sig import builder as b
-from repro.sig.engine import VectorizedBackend, numpy_available
+from repro.sig.engine import VectorizedBackend
 from repro.sig.engine.backends import CompiledBackend
 from repro.sig.process import ProcessModel
 from repro.sig.simulator import Scenario
@@ -72,7 +72,6 @@ def _cases(draw):
     return shapes, constants, presence, values
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 @settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
 @given(
     case=_cases(),

@@ -35,11 +35,6 @@ from repro.sig.simulator import Scenario as SimulatorScenario, simulate
 from repro.sig.sinks import StatisticsSink
 from repro.sig.values import ABSENT, EVENT, INTEGER, REAL, is_absent
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - no-numpy CI leg
-    np = None
-
 
 def _counter_model():
     model = ProcessModel("rules_counter")
@@ -292,7 +287,6 @@ def _every_fifth(t):
     return t if t % 5 == 0 else ABSENT
 
 
-@pytest.mark.skipif(np is None, reason="numpy not installed")
 class TestBlockColumns:
     """The arithmetic fast path must agree with the per-instant sampler."""
 
@@ -315,7 +309,7 @@ class TestBlockColumns:
     def test_block_columns_match_column(self, rule, window):
         start, stop = window
         for typed in (None, float, bool):
-            columns = rule.block_columns(start, stop, np, typed=typed)
+            columns = rule.block_columns(start, stop, typed=typed)
             assert columns is not None
             mask, values, typed_values = columns
             expected = rule.column(start, stop)
@@ -329,27 +323,25 @@ class TestBlockColumns:
                         assert type(typed_values.tolist()[offset]) is typed
 
     def test_explicit_and_generator_have_no_fast_path(self):
-        assert ExplicitRule([1, 2]).block_columns(0, 4, np) is None
-        assert GeneratorRule(_every_fifth).block_columns(0, 4, np) is None
+        assert ExplicitRule([1, 2]).block_columns(0, 4) is None
+        assert GeneratorRule(_every_fifth).block_columns(0, 4) is None
 
     def test_typed_rejected_for_mismatched_fill(self):
-        mask, values, typed_values = PeriodicRule(2, fill=1).block_columns(
-            0, 8, np, typed=float
-        )
+        mask, values, typed_values = PeriodicRule(2, fill=1).block_columns(0, 8, typed=float)
         assert typed_values is None  # int fill is not exactly a float
         nan_rule = ConstantRule(float("nan"))
-        _, _, typed_nan = nan_rule.block_columns(0, 4, np, typed=float)
+        _, _, typed_nan = nan_rule.block_columns(0, 4, typed=float)
         assert typed_nan is None  # NaN must stay on the object path
 
     def test_sparse_overlay_downgrades_typed_on_mismatch(self):
         rule = SparseRule({2: "oops"}, base=ConstantRule(1.0))
-        mask, values, typed_values = rule.block_columns(0, 4, np, typed=float)
+        mask, values, typed_values = rule.block_columns(0, 4, typed=float)
         assert typed_values is None
         assert values[2] == "oops"
 
     def test_periodic_sequence_fill_is_not_broadcast(self):
         rule = PeriodicRule(2, fill=(1, 2))
-        mask, values, typed_values = rule.block_columns(0, 4, np)
+        mask, values, typed_values = rule.block_columns(0, 4)
         # numpy mask assignment would distribute the tuple's elements across
         # the present slots; each present instant must hold the tuple object.
         assert values[0] == (1, 2) and values[2] == (1, 2)

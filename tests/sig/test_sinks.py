@@ -71,8 +71,8 @@ class RecordingSink(TraceSink):
         super().on_header(header)
         self.headers.append(header)
 
-    def on_instant(self, instant, statuses, values):
-        self.instants.append((instant, statuses, values))
+    def on_instant(self, instant, values):
+        self.instants.append((instant, values))
 
     def on_close(self):
         self.closed += 1
@@ -90,12 +90,6 @@ class TestProtocol:
         assert header.types["count"] is INTEGER
         assert sink.closed == 1
         assert len(sink.instants) == 8
-
-    def test_statuses_match_values(self, model, scenario):
-        sink = RecordingSink()
-        simulate(model, scenario, record=["tick", "count"], sinks=[sink])
-        for _, statuses, values in sink.instants:
-            assert statuses == tuple(value is not ABSENT for value in values)
 
     def test_as_sink_list_normalises(self):
         sink = RecordingSink()
@@ -125,7 +119,7 @@ class TestProtocol:
             def on_header(self, header):
                 raise RuntimeError("boom")
 
-            def on_instant(self, instant, statuses, values):
+            def on_instant(self, instant, values):
                 pass
 
         path = tmp_path / "partial.vcd"
@@ -142,7 +136,7 @@ class TestProtocol:
         from repro.sig.vcd import StreamingVcdSink
 
         class FailingClose(TraceSink):
-            def on_instant(self, instant, statuses, values):
+            def on_instant(self, instant, values):
                 pass
 
             def on_close(self):
@@ -287,7 +281,7 @@ class TestReplay:
 class _ResultLessSink(TraceSink):
     """A sink with no product (``result()`` stays ``None``)."""
 
-    def on_instant(self, instant, statuses, values):
+    def on_instant(self, instant, values):
         pass
 
 

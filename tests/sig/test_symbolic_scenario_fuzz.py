@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sig import builder as b
-from repro.sig.engine import numpy_available, simulate
+from repro.sig.engine import VectorizedBackend, create_backend, simulate
 from repro.sig.process import ProcessModel
 from repro.sig.scenario import Scenario
 from repro.sig.values import BOOLEAN, INTEGER, REAL
@@ -25,7 +25,7 @@ from repro.sig.values import BOOLEAN, INTEGER, REAL
 from tests.sig.scenario_strategies import RULE_LENGTH as _LENGTH
 from tests.sig.scenario_strategies import scenarios as _scenarios
 
-_BACKENDS = ["reference", "compiled"] + (["vectorized"] if numpy_available() else [])
+_BACKENDS = ["reference", "compiled", "vectorized"]
 
 
 def _model():
@@ -70,13 +70,12 @@ _MODEL = _model()
 def test_symbolic_equals_materialized(scenario, block_size, backend):
     """The property: rules and their eager expansion are indistinguishable."""
     eager = scenario.materialized()
-    options = {"block_size": block_size} if backend == "vectorized" else None
-    symbolic_trace = simulate(
-        _MODEL, scenario, strict=False, backend=backend, backend_options=options
-    )
-    eager_trace = simulate(
-        _MODEL, eager, strict=False, backend=backend, backend_options=options
-    )
+    if backend == "vectorized":
+        runner = VectorizedBackend(_MODEL, strict=False, block_size=block_size)
+    else:
+        runner = create_backend(_MODEL, backend, strict=False)
+    symbolic_trace = runner.run(scenario)
+    eager_trace = runner.run(eager)
     assert symbolic_trace.length == eager_trace.length
     assert set(symbolic_trace.flows) == set(eager_trace.flows)
     for name in eager_trace.flows:

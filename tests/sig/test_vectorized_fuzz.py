@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.casestudies import load_case_study
 from repro.core import TranslationConfig, translate_system
-from repro.sig.engine import ReferenceBackend, VectorizedBackend, numpy_available
+from repro.sig.engine import ReferenceBackend, VectorizedBackend
 from repro.sig.simulator import Scenario
 
 _LENGTH = 16
@@ -57,7 +57,6 @@ def _scenarios(draw, ticks, stimuli):
     return scenario
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 @settings(
     max_examples=25,
     deadline=None,

@@ -141,6 +141,15 @@ class TestPartitioning:
         with pytest.raises(ValueError):
             run_sweep(pipeline_model, space, str(tmp_path / "s"), partition_size=0)
 
+    def test_negative_length_rejected_before_the_store_is_written(
+        self, pipeline_model, tmp_path
+    ):
+        space = GridSpace({"period": [1, 2]}, pipeline_scenario)
+        out = tmp_path / "s"
+        with pytest.raises(ValueError, match="non-negative"):
+            run_sweep(pipeline_model, space, str(out), length=-1)
+        assert not out.exists()
+
 
 class TestErrorsAndFaults:
     def test_model_errors_recorded_with_global_ids(self, conflict_model, tmp_path):
