@@ -1,9 +1,9 @@
 """E17 — fault-tolerant batch execution under supervision.
 
-Every batch — ``simulate_batch``, the serving layer, fleet-scale sweeps —
-runs on the supervised executor ``run_batch_supervised``, so the execution
-substrate must survive real faults.  This benchmark drives a 64-scenario
-batch through it with *injected* crashes, hangs and slowdowns
+Every batch — the CLI, the serving layer, fleet-scale sweeps — runs
+supervised through ``simulate_batch``, so the execution substrate must
+survive real faults.  This benchmark drives a 64-scenario batch through it
+(``simulate_batch(runner=...)`` on one prepared backend) with *injected* crashes, hangs and slowdowns
 (:class:`~repro.sig.engine.faults.FaultPlan`) and gates three properties:
 
 1. **survival** — the faulted batch completes (no wedge, no poisoned
@@ -28,7 +28,7 @@ import pytest
 from bench_timing import best_of_interleaved
 
 from repro.sig import builder as b
-from repro.sig.engine import FaultPlan, FaultSpec, create_backend, run_batch_supervised
+from repro.sig.engine import FaultPlan, FaultSpec, create_backend, simulate_batch
 from repro.sig.process import ProcessModel
 from repro.sig.scenario import Scenario
 from repro.sig.values import BOOLEAN, REAL
@@ -92,25 +92,21 @@ def test_bench_e17_fault_tolerance(bench_e10):
     runner = create_backend(model, backend="compiled", strict=False)
     scenarios = build_scenarios()
 
+    def batch(workers, **knobs):
+        return simulate_batch(
+            model, scenarios, workers=workers, collect_errors=True,
+            runner=runner, **knobs,
+        )
+
     # Fault-free serial baseline: the bit-identity oracle.
-    serial_traces, _, _, _ = run_batch_supervised(
-        runner, scenarios, workers=1, collect_errors=True
-    )
+    serial_traces = batch(1).traces
     assert all(trace is not None for trace in serial_traces)
 
     # --- survival: the chaos batch completes with typed faults ----------
     plan = FaultPlan(FAULT_SPECS)
-    traces, errors, _, faults = run_batch_supervised(
-        runner,
-        scenarios,
-        workers=WORKERS,
-        collect_errors=True,
-        timeout=5.0,
-        retries=2,
-        backoff=0.01,
-        fault_plan=plan,
-    )
-    assert not errors
+    chaos = batch(WORKERS, timeout=5.0, retries=2, backoff=0.01, fault_plan=plan)
+    traces, faults = chaos.traces, chaos.faults
+    assert not chaos.errors
     assert {fault.scenario: fault.kind for fault in faults} == EXPECTED_FAULTS
     for fault in faults:
         assert fault.attempts >= 1
@@ -128,27 +124,18 @@ def test_bench_e17_fault_tolerance(bench_e10):
 
     # --- overhead: armed fault-free batch <= 1.3x the batch without knobs
     def knob_free():
-        return run_batch_supervised(
-            runner, scenarios, workers=WORKERS, collect_errors=True
-        )
+        return batch(WORKERS)
 
     def armed():
-        return run_batch_supervised(
-            runner,
-            scenarios,
-            workers=WORKERS,
-            collect_errors=True,
-            timeout=60.0,
-            retries=2,
-        )
+        return batch(WORKERS, timeout=60.0, retries=2)
 
     (knob_free_result, knob_free_seconds), (armed_result, armed_seconds) = (
         best_of_interleaved(knob_free, armed)
     )
-    assert not knob_free_result[3] and not armed_result[3]  # fault-free
+    assert not knob_free_result.faults and not armed_result.faults  # fault-free
     for index in range(SCENARIOS):
-        assert _flows(armed_result[0][index]) == _flows(knob_free_result[0][index])
-        assert _flows(knob_free_result[0][index]) == _flows(serial_traces[index])
+        assert _flows(armed_result.traces[index]) == _flows(knob_free_result.traces[index])
+        assert _flows(knob_free_result.traces[index]) == _flows(serial_traces[index])
 
     overhead = armed_seconds / knob_free_seconds
     bench_e10.record(

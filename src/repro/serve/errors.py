@@ -36,13 +36,12 @@ response — partial results are the point of supervised execution.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 __all__ = [
     "ERROR_STATUS",
     "ServeError",
     "error_payload",
-    "fault_from_exception",
     "fault_payload",
     "invalid_program",
     "require",
@@ -140,45 +139,3 @@ def invalid_program(message: str, **extra: Any) -> ServeError:
     """Shorthand for the ``invalid-program`` validation error."""
     return ServeError("invalid-program", message, **extra)
 
-
-def fault_from_exception(
-    index: int, exc: BaseException, attempts: int = 1, worker: Optional[str] = None
-) -> Any:
-    """Map a cooperative-guard exception to a :class:`ScenarioFault`.
-
-    Used by the streaming path, which runs scenarios in-process under a
-    :func:`~repro.sig.engine.supervisor.guarded` context instead of the
-    supervised pool: :class:`~repro.sig.engine.supervisor.ScenarioTimeout`
-    becomes a ``timeout`` fault,
-    :class:`~repro.sig.engine.supervisor.BudgetExceeded` a ``budget``
-    fault, anything else an ``error`` fault — the same taxonomy the
-    supervisor reports, so stream consumers and batch consumers parse one
-    shape.
-    """
-    import traceback as traceback_module
-
-    from ..sig.engine.supervisor import (
-        BudgetExceeded,
-        ScenarioFault,
-        ScenarioTimeout,
-    )
-
-    if isinstance(exc, ScenarioTimeout):
-        kind = "timeout"
-        trace = None
-    elif isinstance(exc, BudgetExceeded):
-        kind = "budget"
-        trace = None
-    else:
-        kind = "error"
-        trace = "".join(
-            traceback_module.format_exception(type(exc), exc, exc.__traceback__)
-        )
-    return ScenarioFault(
-        scenario=index,
-        kind=kind,
-        attempts=attempts,
-        worker=worker,
-        message=str(exc),
-        traceback=trace,
-    )

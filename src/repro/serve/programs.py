@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from ..sig.engine.supervisor import ScenarioBudget, check_supervision
 from ..sig.scenario import (
     ConstantRule,
     ExplicitRule,
@@ -372,7 +373,7 @@ class SimulateRequest:
     retries: Optional[int] = None
     backoff: Optional[float] = None
     max_failures: Optional[int] = None
-    scenario_budget: Optional[Any] = None
+    scenario_budget: Optional[ScenarioBudget] = None
     fault_plan: Optional[Any] = None
     include_trace: bool = True
     sinks: List[str] = field(default_factory=list)
@@ -433,26 +434,19 @@ class SimulateRequest:
             raise invalid_program(f"'backend' must be a string, got {backend!r}")
         request.backend = backend
         request.strict = _optional_bool(payload, "strict", True)
-        request.workers = _optional_int(payload, "workers", minimum=0, default=1)
-        request.timeout = _optional_number(payload, "timeout")
-        request.retries = _optional_int(payload, "retries", minimum=0)
-        request.backoff = _optional_number(payload, "backoff")
-        request.max_failures = _optional_int(payload, "max_failures", minimum=0)
-        budget = payload.get("scenario_budget")
-        if budget is not None:
-            if isinstance(budget, bool) or not isinstance(budget, (int, Mapping)):
-                raise invalid_program(
-                    "'scenario_budget' must be an integer (max instants) or an "
-                    "object with 'max_instants'/'max_memory_mb'"
-                )
-            if isinstance(budget, Mapping):
-                unknown_budget = sorted(set(budget) - {"max_instants", "max_memory_mb"})
-                if unknown_budget:
-                    raise invalid_program(
-                        f"'scenario_budget' has unknown key(s) {unknown_budget}"
-                    )
-                budget = dict(budget)
-        request.scenario_budget = budget
+        request.workers = payload.get("workers", 1)
+        request.timeout = payload.get("timeout")
+        request.retries = payload.get("retries")
+        request.backoff = payload.get("backoff")
+        request.max_failures = payload.get("max_failures")
+        try:
+            check_supervision(
+                request.workers, request.timeout, request.retries,
+                request.backoff, request.max_failures,
+            )
+            request.scenario_budget = ScenarioBudget.coerce(payload.get("scenario_budget"))
+        except (TypeError, ValueError) as exc:
+            raise invalid_program(str(exc))
         request.fault_plan = payload.get("fault_plan")
         request.include_trace = _optional_bool(payload, "include_trace", True)
         sinks = payload.get("sinks", [])
@@ -483,18 +477,6 @@ def _optional_int(
     if minimum is not None and value < minimum:
         raise invalid_program(f"{name!r} must be >= {minimum}, got {value}")
     return value
-
-
-def _optional_number(payload: Mapping[str, Any], name: str) -> Optional[float]:
-    """An optional non-negative number body field."""
-    value = payload.get(name)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise invalid_program(f"{name!r} must be a number, got {value!r}")
-    if value < 0:
-        raise invalid_program(f"{name!r} must be non-negative, got {value}")
-    return float(value)
 
 
 def _optional_bool(payload: Mapping[str, Any], name: str, default: bool) -> bool:

@@ -34,15 +34,13 @@ from ..scheduling.static_scheduler import SchedulingError, SchedulingPolicy
 from ..sig.engine.backends import DEFAULT_BACKEND, create_backend
 from ..sig.engine.batch import BatchResult, default_scenario, simulate_batch
 from ..sig.engine.faults import FaultPlan, FaultSpec
-from ..sig.engine.supervisor import ScenarioBudget, guarded
+from ..sig.engine.supervisor import ScenarioFault, _attempt, _BatchJob
 from ..sig.scenario import Scenario
-from ..sig.simulator import SimulationError
 from ..sig.sinks import DeltaSink, MaterializeSink, StatisticsSink, TraceSink
 from ..sig.vcd import StreamingVcdSink
 from .cache import PlanCache, canonical_source, model_fingerprint, source_key
 from .errors import (
     ServeError,
-    fault_from_exception,
     fault_payload,
     invalid_program,
     simulation_error_payload,
@@ -481,7 +479,7 @@ class SimulationService:
                     retries=request.retries,
                     backoff=request.backoff,
                     max_failures=request.max_failures,
-                    scenario_budget=self._decode_budget(request.scenario_budget),
+                    scenario_budget=request.scenario_budget,
                     fault_plan=fault_plan,
                     runner=runner,
                 )
@@ -590,13 +588,6 @@ class SimulationService:
                 )
         return None
 
-    def _decode_budget(self, budget: Any) -> Optional[ScenarioBudget]:
-        """Coerce the request's scenario budget (int or mapping form)."""
-        try:
-            return ScenarioBudget.coerce(budget)
-        except TypeError as exc:
-            raise invalid_program(str(exc))
-
     def _decode_fault_plan(self, payload: Any) -> Optional[FaultPlan]:
         """Decode the test-only ``fault_plan`` field into a FaultPlan."""
         if payload is None:
@@ -694,7 +685,6 @@ class SimulationService:
         runner = entry.runner_for(
             request.backend or self.config.default_backend, request.strict
         )
-        budget = self._decode_budget(request.scenario_budget)
         slot = self._slot()
         slot.__enter__()
         try:
@@ -704,7 +694,6 @@ class SimulationService:
                 request=request,
                 scenarios=scenarios,
                 length=length,
-                budget=budget,
                 release=lambda: slot.__exit__(None, None, None),
             )
         except BaseException:
@@ -729,8 +718,12 @@ class SimulationService:
         }
 
 
-class _StreamCancelled(Exception):
-    """Raised inside a streamed run when the client went away."""
+class _StreamCancelled(BaseException):
+    """Raised inside a streamed run when the client went away.
+
+    A :class:`BaseException`, like :class:`KeyboardInterrupt`: cancellation
+    is not a scenario fault, so it passes through the supervisor's attempt
+    function to :meth:`SimulationStream._run_scenario`."""
 
 
 class _CancelSink(TraceSink):
@@ -838,7 +831,6 @@ class SimulationStream:
         request: SimulateRequest,
         scenarios: List[Scenario],
         length: Optional[int],
-        budget: Optional[ScenarioBudget],
         release: Callable[[], None],
     ) -> None:
         import queue
@@ -848,7 +840,6 @@ class SimulationStream:
         self._request = request
         self._scenarios = scenarios
         self._length = length
-        self._budget = budget
         self._release = release
         self._queue: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue(maxsize=64)
         self._cancelled = threading.Event()
@@ -930,9 +921,9 @@ class SimulationStream:
             )
             errors = 0
             faults = 0
-            for index, scenario in enumerate(self._scenarios):
+            for index in range(len(self._scenarios)):
                 self.scenarios_started += 1
-                outcome = self._run_scenario(index, scenario)
+                outcome = self._run_scenario(index)
                 if outcome == "error":
                     errors += 1
                 elif outcome == "fault":
@@ -953,7 +944,7 @@ class SimulationStream:
         finally:
             self._queue.put(None)
 
-    def _run_scenario(self, index: int, scenario: Scenario) -> str:
+    def _run_scenario(self, index: int) -> str:
         """Run one scenario into fresh sinks; emit its terminal event."""
         request = self._request
         sinks: List[TraceSink] = []
@@ -981,27 +972,31 @@ class SimulationStream:
             self.sinks_closed += 1
 
         tracked = [_TrackedSink(sink, closed) for sink in sinks]
+        job = _BatchJob(
+            self._runner,
+            self._scenarios,
+            record=request.record,
+            sink_factory=lambda _index: tracked,
+            length=self._length,
+            timeout=request.timeout,
+            budget=request.scenario_budget,
+        )
         try:
-            with guarded(timeout=request.timeout, budget=self._budget):
-                self._runner.run(
-                    scenario,
-                    record=request.record,
-                    sinks=tracked,
-                    length=self._length,
-                )
+            tag, payload = _attempt(job, index)
         except _StreamCancelled:
             return "cancelled"
-        except SimulationError as exc:
+        if tag == "sim-error":
             self._put(
                 {
                     "event": "error",
                     "scenario": index,
-                    **simulation_error_payload(index, exc),
+                    **simulation_error_payload(index, payload),
                 }
             )
             return "error"
-        except Exception as exc:
-            fault = fault_from_exception(index, exc)
+        if tag != "ok":
+            message, trace = payload
+            fault = ScenarioFault(index, tag, 1, message=message, traceback=trace)
             self._put(
                 {"event": "fault", "scenario": index, **fault_payload(fault)}
             )

@@ -55,7 +55,6 @@ from .supervisor import (
     ScenarioFault,
     ScenarioTimeout,
     default_worker_count,
-    run_batch_supervised,
 )
 from .vectorized import (
     DEFAULT_BLOCK_SIZE,
@@ -122,7 +121,6 @@ __all__ = [
     "create_backend",
     "default_scenario",
     "default_worker_count",
-    "run_batch_supervised",
     "simulate",
     "simulate_batch",
 ]

@@ -21,7 +21,16 @@ from ..scenario import Scenario
 from ..simulator import SimulationError, SimulationTrace
 from ..sinks import SinkFactory, presence_summary
 from .backends import DEFAULT_BACKEND, create_backend
-from .supervisor import default_worker_count, run_batch_supervised
+from .supervisor import (
+    DEFAULT_BACKOFF,
+    DEFAULT_RETRIES,
+    ScenarioBudget,
+    _BatchJob,
+    _supervise,
+    _Supervision,
+    check_supervision,
+    default_worker_count,
+)
 
 
 def default_scenario(
@@ -178,11 +187,13 @@ def simulate_batch(
     ``length`` overrides every scenario's horizon — one *unbounded*
     symbolic scenario (``Scenario(None)``) can therefore be reused across
     sweeps of different lengths, and ships to workers as a few bytes of
-    rules instead of per-instant lists.  A negative ``length`` is a
+    rules instead of per-instant lists.  A negative ``length``, and any
+    supervision value :func:`~repro.sig.engine.supervisor.check_supervision`
+    or :class:`~repro.sig.engine.supervisor.ScenarioBudget` refuses, is a
     :class:`ValueError` before any scenario runs.
 
     Every batch runs through the supervised executor
-    (:func:`~repro.sig.engine.supervisor.run_batch_supervised`): crashed or
+    (:mod:`repro.sig.engine.supervisor`): crashed or
     hung workers are detected and replaced, failed attempts retried, and
     unrecoverable scenarios surface in :attr:`BatchResult.faults` instead of
     taking the batch down.  A :class:`~repro.sig.simulator.SimulationError`
@@ -206,30 +217,35 @@ def simulate_batch(
     with its own options, e.g. ``VectorizedBackend(model, block_size=64)``.
     """
     check_length(length)
-    record = list(record) if record is not None else None
+    check_supervision(workers, timeout, retries, backoff, max_failures)
+    budget = ScenarioBudget.coerce(scenario_budget)
     start = time.perf_counter()
     if runner is None:
         runner = create_backend(process, backend=backend, strict=strict)
     compiled_at = time.perf_counter()
 
     count = len(scenarios)
-    if workers <= 0:
-        workers = default_worker_count()
-    effective_workers = max(1, min(workers, count))
-    traces, errors, sink_results, faults = run_batch_supervised(
+    effective_workers = min(workers or default_worker_count(), count) or 1
+    job = _BatchJob(
         runner,
         scenarios,
-        record=record,
-        workers=effective_workers,
-        collect_errors=collect_errors,
+        record=list(record) if record is not None else None,
         sink_factory=sink_factory,
         length=length,
         timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-        max_failures=max_failures,
-        scenario_budget=scenario_budget,
+        budget=budget,
         fault_plan=fault_plan,
+    )
+    supervision = _Supervision(
+        count=count,
+        collect_errors=collect_errors,
+        streaming=sink_factory is not None,
+        retries=DEFAULT_RETRIES if retries is None else retries,
+        backoff=DEFAULT_BACKOFF if backoff is None else backoff,
+        max_failures=max_failures,
+    )
+    traces, errors, sink_results, faults = _supervise(
+        job, supervision, effective_workers
     )
     done = time.perf_counter()
 

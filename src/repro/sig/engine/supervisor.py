@@ -20,13 +20,30 @@ Sharding
   each worker once, at start-up; a plan pickles as its process model and
   recompiles itself on arrival, and a symbolic scenario crosses the
   process boundary as its rule program, a few bytes whatever the horizon;
-* **chunked scheduling** — scenarios are dealt out in contiguous chunks
-  (several per worker, so stragglers rebalance);
+* **chunked scheduling** — scenarios are dealt out in contiguous chunks of
+  ``ceil(count / (4 * workers))`` (several per worker, so stragglers
+  rebalance);
 * **ordered reassembly** — results are filed by scenario index, so traces,
   sink results and collected errors keep the order of a sequential run;
 * **streaming** — with a ``sink_factory`` each worker builds the
   scenario's sinks locally, streams the run into them and ships back only
   ``sink.result()``.
+
+One attempt
+-----------
+
+A scenario *attempt* has exactly one definition, :func:`_attempt`: it
+installs the cooperative :class:`ExecutionGuard`, fires the
+:class:`~repro.sig.engine.faults.FaultPlan` entry of ``(scenario,
+attempt)`` if there is one, runs the scenario, and maps the outcome to one
+tag of the fault taxonomy — ``ok``, ``sim-error`` (a
+:class:`~repro.sig.simulator.SimulationError`), ``crash`` (an injected
+in-process crash), ``timeout``, ``budget`` (a :class:`ScenarioBudget`
+bound or a ``MemoryError``) or ``error`` (any other exception, reported as
+``"{Type}: {message}"`` with its traceback).  The pooled workers, the
+in-process loop and the serving layer's streamed runs all call it; only a
+pooled worker can additionally die (``crash``) or be killed for silence
+(``timeout``).
 
 Supervision model
 -----------------
@@ -47,10 +64,10 @@ Supervision model
   only when a budget is set, so timeout-only supervision adds nothing to
   the backends' hot loops;
 * failed attempts are **retried with exponential backoff**
-  (``backoff * 2**attempt``) on a replacement worker, up to ``retries``
-  times; a scenario that keeps failing surfaces as a structured
-  :class:`ScenarioFault` (kind ``crash`` / ``timeout`` / ``budget`` /
-  ``error``, attempt count, worker id, traceback) instead of an exception;
+  (``backoff * 2**attempt``), up to ``retries`` times; a scenario that
+  keeps failing surfaces as a structured :class:`ScenarioFault` (kind,
+  attempt count, worker id, traceback) instead of an exception.  The retry
+  decision is made in one place, :meth:`_Supervision.fail`;
 * a ``max_failures`` **circuit breaker** bounds the damage of systemic
   failure: once the batch has seen more than ``max_failures`` failed
   attempts, retrying stops and every undecided scenario faults fast;
@@ -68,7 +85,11 @@ multiprocessing primitives are unavailable, the supervisor degrades to
 enforced cooperatively by the backends (the compiled plan checks its
 :func:`current_guard` once per instant, the vectorized executor once per
 block), injected crashes map to marker exceptions, and the retry ladder,
-circuit breaker and fault reporting behave identically.
+circuit breaker and fault reporting behave identically; a retry runs at
+once, after its backoff sleep, before the next scenario starts.
+
+The supervision values are checked once, by :func:`check_supervision`,
+before any scenario runs.
 
 Budgets
 -------
@@ -81,8 +102,8 @@ the attempt started; a high-water mark, so a worker that already peaked
 cannot re-trip it).  Budget violations surface as ``budget`` faults.
 
 Fault injection (:mod:`repro.sig.engine.faults`) hooks in at exactly one
-point — the start of a scenario attempt inside the worker — which is what
-the chaos tests and the E17 gate drive.
+point — the start of :func:`_attempt` — which is what the chaos tests and
+the E17 gate drive.
 """
 
 from __future__ import annotations
@@ -103,7 +124,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from ..scenario import Scenario
 from ..simulator import SimulationError, SimulationTrace
 from ..sinks import SinkFactory, as_sink_list
-from .faults import FaultPlan, FaultSpec, InjectedCrash, fire_fault
+from .faults import FaultPlan, InjectedCrash, fire_fault
 
 #: Retry count of a batch whose caller does not choose one.
 DEFAULT_RETRIES = 2
@@ -147,6 +168,43 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
+def _require(name: str, value: Any, integer: bool = False, positive: bool = False) -> None:
+    """Refuse *value* unless it is a non-bool ``int`` (*integer*) or a finite
+    number, at least 0 (above 0 when *positive*)."""
+    number = (
+        isinstance(value, int)
+        if integer
+        else isinstance(value, (int, float)) and math.isfinite(value)
+    )
+    if isinstance(value, bool) or not number or value < 0 or (positive and value == 0):
+        kind = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {kind} {'>' if positive else '>='} 0, got {value!r}")
+
+
+def check_supervision(
+    workers: int = 1,
+    timeout: Optional[float] = None,
+    retries: Optional[int] = None,
+    backoff: Optional[float] = None,
+    max_failures: Optional[int] = None,
+) -> None:
+    """Refuse supervision values no batch can honour, before any scenario runs.
+
+    ``workers``, ``retries`` and ``max_failures`` must be integers >= 0,
+    ``timeout`` a finite number of seconds > 0 and ``backoff`` one >= 0;
+    ``None`` selects the default of all but ``workers``.  Raises
+    :class:`ValueError` naming the offending option.
+    """
+    _require("workers", workers, integer=True)
+    for name, value in (("retries", retries), ("max_failures", max_failures)):
+        if value is not None:
+            _require(name, value, integer=True)
+    if timeout is not None:
+        _require("timeout", timeout, positive=True)
+    if backoff is not None:
+        _require("backoff", backoff)
+
+
 class ScenarioTimeout(Exception):
     """A scenario attempt exceeded its wall-clock timeout (cooperative path)."""
 
@@ -169,6 +227,12 @@ class ScenarioBudget:
 
     max_instants: Optional[int] = None
     max_memory_mb: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.max_instants is not None:
+            _require("max_instants", self.max_instants, integer=True)
+        if self.max_memory_mb is not None:
+            _require("max_memory_mb", self.max_memory_mb, positive=True)
 
     @classmethod
     def coerce(cls, value: Any) -> Optional["ScenarioBudget"]:
@@ -351,53 +415,81 @@ class ScenarioFault:
         )
 
 
-class _CircuitOpen(Exception):
-    """Internal: the failure budget of the whole batch is exhausted."""
-
-
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _run_one(
-    runner: Any,
-    scenarios: Sequence[Scenario],
-    index: int,
-    record: Optional[List[str]],
-    sink_factory: Optional[SinkFactory],
-    length: Optional[int],
-) -> Any:
+@dataclass(frozen=True)
+class _BatchJob:
+    """What every attempt of one batch shares; pickled once to each spawned
+    worker."""
+
+    runner: Any
+    scenarios: Sequence[Scenario]
+    record: Optional[List[str]] = None
+    sink_factory: Optional[SinkFactory] = None
+    length: Optional[int] = None
+    timeout: Optional[float] = None
+    budget: Optional[ScenarioBudget] = None
+    fault_plan: Optional[FaultPlan] = None
+
+
+def _run_one(job: _BatchJob, index: int) -> Any:
     """One scenario's payload: its trace, or its sink result(s).
 
     With a *sink_factory* the payload is the single sink's ``result()``
     when the factory returns one sink, the list of results when it returns
     several.
     """
-    if sink_factory is None:
-        return runner.run(scenarios[index], record=record, length=length)
-    made = sink_factory(index)
+    runner, scenario = job.runner, job.scenarios[index]
+    if job.sink_factory is None:
+        return runner.run(scenario, record=job.record, length=job.length)
+    made = job.sink_factory(index)
     sink_list = as_sink_list(made)
-    runner.run(scenarios[index], record=record, sinks=sink_list, length=length)
+    runner.run(scenario, record=job.record, sinks=sink_list, length=job.length)
     results = [sink.result() for sink in sink_list]
     return results[0] if len(sink_list) == 1 and not isinstance(made, (list, tuple)) else results
 
 
-def _worker_main(
-    worker_name: str,
-    task_conn: Any,
-    result_conn: Any,
-    runner: Any,
-    scenarios: Sequence[Scenario],
-    record: Optional[List[str]],
-    sink_factory: Optional[SinkFactory],
-    length: Optional[int],
-    timeout: Optional[float],
-    budget: Optional[ScenarioBudget],
-    fault_plan: Optional[FaultPlan],
-) -> None:
+def _attempt(
+    job: _BatchJob, index: int, attempt: int = 0, pooled: bool = False
+) -> Tuple[str, Any]:
+    """Run one attempt of scenario *index*: the executor's one attempt path.
+
+    Returns ``(tag, payload)``: ``("ok", result)``, ``("sim-error",
+    error)``, or a fault tag (``crash``, ``timeout``, ``budget``,
+    ``error``) with a ``(message, traceback)`` payload, the traceback set
+    for ``error`` only.  A *pooled* worker's wall clock is enforced by the
+    supervisor killing it, so there the guard is installed for budgets only
+    (timeout-only supervision then costs the backends' hot loops nothing)
+    and an injected crash or hang is real.
+    """
+    try:
+        spec = job.fault_plan.lookup(index, attempt) if job.fault_plan else None
+        timeout = None if pooled else job.timeout
+        with guarded(timeout=timeout, budget=job.budget) as guard:
+            if spec is not None:
+                fire_fault(spec, in_process=not pooled, guard=guard)
+            return "ok", _run_one(job, index)
+    except SimulationError as error:
+        return "sim-error", error
+    except InjectedCrash as error:
+        return "crash", (str(error), None)
+    except ScenarioTimeout as error:
+        return "timeout", (str(error), None)
+    except (BudgetExceeded, MemoryError) as error:
+        return "budget", (str(error), None)
+    except Exception as error:
+        return "error", (
+            f"{type(error).__name__}: {error}",
+            traceback_module.format_exc(),
+        )
+
+
+def _worker_main(task_conn: Any, result_conn: Any, job: _BatchJob) -> None:
     """Supervised worker loop: receive ``[(index, attempt), ...]`` chunks,
-    send one ``(worker, index, attempt, tag, payload)`` message per
-    scenario.  Pipe writes are synchronous, so every sent result survives
-    whatever the worker does next (including crashing)."""
+    send one ``(index, attempt, tag, payload)`` message per scenario.  Pipe
+    writes are synchronous, so every sent result survives whatever the
+    worker does next (including crashing)."""
     while True:
         try:
             task = task_conn.recv()
@@ -407,39 +499,9 @@ def _worker_main(
             return
         for index, attempt in task:
             try:
-                spec = (
-                    fault_plan.lookup(index, attempt)
-                    if fault_plan is not None
-                    else None
-                )
-                # The wall clock of a pooled worker is enforced externally
-                # (the supervisor kills silent workers), so the cooperative
-                # guard is installed only for budgets — the per-instant
-                # backend checks cost nothing on timeout-only supervision.
-                with guarded(timeout=None, budget=budget) as guard:
-                    if spec is not None:
-                        fire_fault(spec, in_process=False, guard=guard)
-                    payload = _run_one(
-                        runner, scenarios, index, record, sink_factory, length
-                    )
-            except SimulationError as error:
-                message = (worker_name, index, attempt, "sim-error", error)
-            except ScenarioTimeout as error:
-                message = (worker_name, index, attempt, "timeout", str(error))
-            except (BudgetExceeded, MemoryError) as error:
-                message = (worker_name, index, attempt, "budget", str(error))
+                message = (index, attempt) + _attempt(job, index, attempt, pooled=True)
             except KeyboardInterrupt:
                 return
-            except BaseException as error:
-                message = (
-                    worker_name,
-                    index,
-                    attempt,
-                    "error",
-                    (type(error).__name__, str(error), traceback_module.format_exc()),
-                )
-            else:
-                message = (worker_name, index, attempt, "ok", payload)
             try:
                 result_conn.send(message)
             except (BrokenPipeError, OSError):
@@ -486,13 +548,13 @@ class _Worker:
         ]
 
 
-def _spawn_worker(ctx, name: str, worker_args: Tuple[Any, ...]) -> _Worker:
+def _spawn_worker(ctx, name: str, job: _BatchJob) -> _Worker:
     """Start one supervised worker with private task/result pipes."""
     task_recv, task_send = ctx.Pipe(duplex=False)
     result_recv, result_send = ctx.Pipe(duplex=False)
     process = ctx.Process(
         target=_worker_main,
-        args=(name, task_recv, result_send) + worker_args,
+        args=(task_recv, result_send, job),
         name=f"repro-supervised-{name}",
         daemon=True,
     )
@@ -530,142 +592,33 @@ def _stop_worker(worker: _Worker, kill: bool = False) -> None:
             pass
 
 
-def run_batch_supervised(
-    runner: Any,
-    scenarios: Sequence[Scenario],
-    record: Optional[List[str]] = None,
-    workers: int = 0,
-    collect_errors: bool = False,
-    chunk_size: Optional[int] = None,
-    sink_factory: Optional[SinkFactory] = None,
-    length: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    backoff: Optional[float] = None,
-    max_failures: Optional[int] = None,
-    scenario_budget: Optional["ScenarioBudget | int"] = None,
-    fault_plan: Optional[FaultPlan] = None,
-) -> Tuple[
+#: Ordered ``(traces, errors, sink_results, faults)`` of one batch.
+_Outcome = Tuple[
     List[Optional[SimulationTrace]],
     List[Tuple[int, SimulationError]],
     List[Any],
     List[ScenarioFault],
-]:
-    """Run *scenarios* through *runner* under per-task supervision.
-
-    *runner* is a prepared :class:`~repro.sig.engine.backends.SimulationBackend`
-    (its ``strict`` flag travels with it).  Returns ``(traces, errors,
-    sink_results, faults)``, each in scenario order.  Without
-    *sink_factory*, ``traces`` holds the materialised traces and
-    ``sink_results`` is empty; with it, ``traces`` holds ``None`` per
-    scenario and ``sink_results`` what each scenario's sink(s) produced.
-    ``faults`` lists a :class:`ScenarioFault` per scenario supervision
-    could not recover; faulted scenarios contribute ``None`` traces/sink
-    results exactly like collected errors.  Without ``collect_errors`` the
-    earliest scenario's :class:`~repro.sig.simulator.SimulationError` is
-    raised (infrastructure faults never raise — surviving partial results
-    are the point of supervision).
-
-    *timeout* bounds each attempt's wall clock (externally by killing the
-    silent worker, cooperatively via :class:`ExecutionGuard` inside it),
-    *scenario_budget* bounds instants/memory (an ``int`` is shorthand for
-    ``ScenarioBudget(max_instants=...)``), failed attempts retry up to
-    *retries* times (default :data:`DEFAULT_RETRIES`) with
-    ``backoff * 2**attempt`` delays (default :data:`DEFAULT_BACKOFF`), and
-    more than *max_failures* failed attempts across the batch trip the
-    circuit breaker: everything still undecided faults fast as kind
-    ``"error"``.  *fault_plan* injects deterministic faults (tests, chaos
-    CI, E17).  ``workers=0`` means one worker per available core.
-    """
-    record = list(record) if record is not None else None
-    count = len(scenarios)
-    if retries is None:
-        retries = DEFAULT_RETRIES
-    if backoff is None:
-        backoff = DEFAULT_BACKOFF
-    scenario_budget = ScenarioBudget.coerce(scenario_budget)
-    if workers <= 0:
-        workers = default_worker_count()
-    workers = min(workers, count) or 1
-
-    supervisor = _Supervision(
-        count=count,
-        collect_errors=collect_errors,
-        streaming=sink_factory is not None,
-        retries=retries,
-        backoff=backoff,
-        max_failures=max_failures,
-    )
-    if workers == 1 or count <= 1:
-        _supervise_in_process(
-            supervisor, runner, scenarios, record, sink_factory, length,
-            timeout, scenario_budget, fault_plan,
-        )
-        return supervisor.assemble()
-
-    worker_args = (
-        runner, scenarios, record, sink_factory, length,
-        timeout, scenario_budget, fault_plan,
-    )
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(count / (workers * 4)))
-    for start in range(0, count, chunk_size):
-        supervisor.enqueue(
-            [(index, 0) for index in range(start, min(start + chunk_size, count))]
-        )
-
-    ctx = _pool_context()
-    team: List[_Worker] = []
-    try:
-        try:
-            team = [
-                _spawn_worker(ctx, f"w{slot}", worker_args)
-                for slot in range(workers)
-            ]
-        except (OSError, ImportError):
-            # Pool-less platform (no semaphores/pipes): degrade in-process
-            # with identical semantics.
-            for worker in team:
-                _stop_worker(worker, kill=True)
-            team = []
-            _supervise_in_process(
-                supervisor, runner, scenarios, record, sink_factory, length,
-                timeout, scenario_budget, fault_plan,
-            )
-            return supervisor.assemble()
-        _supervise_pool(supervisor, team, ctx, worker_args, timeout)
-    finally:
-        for worker in team:
-            _stop_worker(worker, kill=worker.busy)
-    return supervisor.assemble()
+]
 
 
+@dataclass
 class _Supervision:
-    """Shared bookkeeping of one supervised batch: outcomes, the retry
-    ladder, the failure counter and the circuit breaker."""
+    """Bookkeeping of one supervised batch: its checked settings, outcomes,
+    the retry queue, the failure counter and the circuit breaker."""
 
-    def __init__(
-        self,
-        count: int,
-        collect_errors: bool,
-        streaming: bool,
-        retries: int,
-        backoff: float,
-        max_failures: Optional[int],
-    ) -> None:
-        self.count = count
-        self.collect_errors = collect_errors
-        self.streaming = streaming
-        self.retries = retries
-        self.backoff = backoff
-        self.max_failures = max_failures
-        self.failures = 0
-        self.circuit_open = False
-        #: ``index -> (tag, payload)``; tag in {"ok", "sim-error", "fault"}.
-        self.outcomes: Dict[int, Tuple[str, Any]] = {}
-        #: Retry/task heap: ``(ready_time, sequence, task)``.
-        self.ready: List[Tuple[float, int, List[Tuple[int, int]]]] = []
-        self._sequence = itertools.count()
+    count: int
+    collect_errors: bool
+    streaming: bool
+    retries: int
+    backoff: float
+    max_failures: Optional[int]
+    failures: int = 0
+    circuit_open: bool = False
+    #: ``index -> (tag, payload)``; tag in {"ok", "sim-error", "fault"}.
+    outcomes: Dict[int, Tuple[str, Any]] = field(default_factory=dict)
+    #: Retry/task heap: ``(ready_time, sequence, task)``.
+    ready: List[Tuple[float, int, List[Tuple[int, int]]]] = field(default_factory=list)
+    _sequence: Iterator[int] = field(default_factory=itertools.count)
 
     # -- task scheduling ------------------------------------------------
     def enqueue(self, task: List[Tuple[int, int]], ready_at: float = 0.0) -> None:
@@ -690,13 +643,16 @@ class _Supervision:
         return len(self.outcomes) >= self.count
 
     # -- outcome recording ----------------------------------------------
-    def succeed(self, index: int, payload: Any) -> None:
-        """Record one scenario's successful payload."""
-        self.outcomes[index] = ("ok", payload)
-
-    def simulation_error(self, index: int, error: SimulationError) -> None:
-        """Record a deterministic model error (never retried)."""
-        self.outcomes[index] = ("sim-error", error)
+    def record(
+        self, index: int, attempt: int, tag: str, payload: Any,
+        worker: Optional[str] = None,
+    ) -> None:
+        """File one :func:`_attempt` outcome: a result, a model error, or a
+        failed attempt charged through :meth:`fail`."""
+        if tag in ("ok", "sim-error"):
+            self.outcomes[index] = (tag, payload)
+        else:
+            self.fail(index, attempt, tag, worker, *payload)
 
     def fail(
         self,
@@ -707,7 +663,8 @@ class _Supervision:
         message: str,
         traceback: Optional[str] = None,
     ) -> None:
-        """Charge one failed attempt: retry with backoff or fault out."""
+        """Charge one failed attempt: the one retry decision.  A retried
+        scenario is queued again after its backoff; otherwise it faults."""
         self.failures += 1
         if self.max_failures is not None and self.failures > self.max_failures:
             self.circuit_open = True
@@ -746,14 +703,7 @@ class _Supervision:
                 )
 
     # -- result assembly -------------------------------------------------
-    def assemble(
-        self,
-    ) -> Tuple[
-        List[Optional[SimulationTrace]],
-        List[Tuple[int, SimulationError]],
-        List[Any],
-        List[ScenarioFault],
-    ]:
+    def assemble(self) -> _Outcome:
         """Ordered ``(traces, errors, sink_results, faults)`` of the batch."""
         traces: List[Optional[SimulationTrace]] = []
         errors: List[Tuple[int, SimulationError]] = []
@@ -778,35 +728,52 @@ class _Supervision:
         return traces, errors, sink_results, faults
 
 
+def _supervise(job: _BatchJob, supervisor: _Supervision, workers: int) -> _Outcome:
+    """Run every scenario of *job* under *supervisor* on *workers*
+    supervised processes (at most one per scenario), or in this process for
+    one worker or on a platform without a process pool."""
+    count = supervisor.count
+    team: List[_Worker] = []
+    try:
+        if workers > 1:
+            ctx = _pool_context()
+            try:
+                for slot in range(workers):
+                    team.append(_spawn_worker(ctx, f"w{slot}", job))
+            except (OSError, ImportError):
+                # Pool-less platform (no semaphores/pipes): degrade in-process
+                # with identical semantics.
+                for worker in team:
+                    _stop_worker(worker, kill=True)
+                team = []
+        if not team:
+            _supervise_in_process(supervisor, job)
+            return supervisor.assemble()
+        chunk = math.ceil(count / (workers * 4))
+        for start in range(0, count, chunk):
+            supervisor.enqueue(
+                [(index, 0) for index in range(start, min(start + chunk, count))]
+            )
+        _supervise_pool(supervisor, team, ctx, job)
+    finally:
+        for worker in team:
+            _stop_worker(worker, kill=worker.busy)
+    return supervisor.assemble()
+
+
 def _supervise_pool(
-    supervisor: _Supervision,
-    team: List[_Worker],
-    ctx,
-    worker_args: Tuple[Any, ...],
-    timeout: Optional[float],
+    supervisor: _Supervision, team: List[_Worker], ctx, job: _BatchJob
 ) -> None:
     """The supervision event loop over a team of worker processes."""
+    timeout = job.timeout
 
     def handle_message(worker: _Worker, message: Tuple[Any, ...]) -> None:
-        _, index, attempt, tag, payload = message
+        index, attempt, tag, payload = message
         if worker.pending.pop(index, None) is None:
             return  # stale duplicate after a requeue; ignore
         if worker.deadline is not None and timeout is not None:
             worker.deadline = time.monotonic() + timeout  # progress resets it
-        if tag == "ok":
-            supervisor.succeed(index, payload)
-        elif tag == "sim-error":
-            supervisor.simulation_error(index, payload)
-        elif tag == "timeout":
-            supervisor.fail(index, attempt, "timeout", worker.name, payload)
-        elif tag == "budget":
-            supervisor.fail(index, attempt, "budget", worker.name, payload)
-        else:  # "error"
-            type_name, text, trace = payload
-            supervisor.fail(
-                index, attempt, "error", worker.name,
-                f"{type_name}: {text}", trace,
-            )
+        supervisor.record(index, attempt, tag, payload, worker.name)
         if not worker.pending:
             worker.order = []
             worker.deadline = None
@@ -820,7 +787,7 @@ def _supervise_pool(
 
     def replace(slot: int, kill: bool) -> None:
         _stop_worker(team[slot], kill=kill)
-        team[slot] = _spawn_worker(ctx, team[slot].name, worker_args)
+        team[slot] = _spawn_worker(ctx, team[slot].name, job)
 
     while not supervisor.settled:
         if supervisor.circuit_open:
@@ -900,70 +867,24 @@ def _supervise_pool(
                 replace(slot, kill=True)
 
 
-def _supervise_in_process(
-    supervisor: _Supervision,
-    runner: Any,
-    scenarios: Sequence[Scenario],
-    record: Optional[List[str]],
-    sink_factory: Optional[SinkFactory],
-    length: Optional[int],
-    timeout: Optional[float],
-    budget: Optional[ScenarioBudget],
-    fault_plan: Optional[FaultPlan],
-) -> None:
+def _supervise_in_process(supervisor: _Supervision, job: _BatchJob) -> None:
     """Degraded (single-process) supervision: cooperative budgets/timeouts
     through the backends' guard checks, the same retry ladder, circuit
-    breaker and fault taxonomy as the pooled path."""
+    breaker and fault taxonomy as the pooled path.  Each scenario's retries
+    run before the next scenario starts."""
     for index in range(supervisor.count):
         if supervisor.circuit_open:
             break
-        attempt = 0
-        while True:
-            try:
-                spec = (
-                    fault_plan.lookup(index, attempt)
-                    if fault_plan is not None
-                    else None
-                )
-                with guarded(timeout=timeout, budget=budget) as guard:
-                    if spec is not None:
-                        fire_fault(spec, in_process=True, guard=guard)
-                    payload = _run_one(
-                        runner, scenarios, index, record, sink_factory, length
-                    )
-            except SimulationError as error:
-                if not supervisor.collect_errors:
-                    # Match the sequential loop exactly: fail fast, never
-                    # touching the scenarios after the failing one.
-                    raise
-                supervisor.simulation_error(index, error)
-                break
-            except InjectedCrash as error:
-                kind, message, trace = "crash", str(error), None
-            except ScenarioTimeout as error:
-                kind, message, trace = "timeout", str(error), None
-            except (BudgetExceeded, MemoryError) as error:
-                kind, message, trace = "budget", str(error), None
-            except Exception as error:
-                kind = "error"
-                message = f"{type(error).__name__}: {error}"
-                trace = traceback_module.format_exc()
-            else:
-                supervisor.succeed(index, payload)
-                break
-            retrying = (
-                not supervisor.circuit_open
-                and attempt < supervisor.retries
-                and not (
-                    supervisor.max_failures is not None
-                    and supervisor.failures + 1 > supervisor.max_failures
-                )
-            )
-            supervisor.fail(index, attempt, kind, None, message, trace)
-            if not retrying or supervisor.circuit_open:
-                break
-            time.sleep(supervisor.backoff * (2 ** attempt))
-            attempt += 1
+        supervisor.enqueue([(index, 0)])
+        while supervisor.ready:
+            time.sleep(max(0.0, supervisor.next_ready_at() - time.monotonic()))
+            [(index, attempt)] = supervisor.next_task(math.inf)
+            tag, payload = _attempt(job, index, attempt)
+            if tag == "sim-error" and not supervisor.collect_errors:
+                # Match the sequential loop exactly: fail fast, never
+                # touching the scenarios after the failing one.
+                raise payload
+            supervisor.record(index, attempt, tag, payload)
     if supervisor.circuit_open:
         supervisor.abandon_undecided()
 
@@ -976,8 +897,8 @@ __all__ = [
     "ScenarioBudget",
     "ScenarioFault",
     "ScenarioTimeout",
+    "check_supervision",
     "current_guard",
     "default_worker_count",
     "guarded",
-    "run_batch_supervised",
 ]

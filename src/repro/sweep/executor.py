@@ -48,6 +48,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..sig.engine.backends import DEFAULT_BACKEND, create_backend
 from ..sig.engine.batch import check_length, simulate_batch
+from ..sig.engine.supervisor import ScenarioBudget, check_supervision
 from ..sig.process import ProcessModel
 from ..sig.sinks import DeltaSink, StatisticsSink, TraceStatistics
 from .manifest import (
@@ -269,6 +270,8 @@ def run_sweep(
     if partition_size <= 0:
         raise ValueError(f"partition_size must be positive, got {partition_size}")
     check_length(length)
+    check_supervision(workers, timeout, retries, backoff, max_failures)
+    scenario_budget = ScenarioBudget.coerce(scenario_budget)
     record_list = list(record) if record is not None else None
     deltas_tuple = tuple(deltas) if deltas is not None else None
     if shard_format != SHARD_FORMAT:

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.serve.errors import ServeError
+from repro.sig.engine import ScenarioBudget
 from repro.serve.programs import (
     SimulateRequest,
     decode_trace,
@@ -206,11 +207,11 @@ class TestSimulateRequest:
         request = SimulateRequest.from_payload(
             {"scenarios": [{}], "scenario_budget": 100}
         )
-        assert request.scenario_budget == 100
+        assert request.scenario_budget == ScenarioBudget(max_instants=100)
         request = SimulateRequest.from_payload(
             {"scenarios": [{}], "scenario_budget": {"max_instants": 5}}
         )
-        assert request.scenario_budget == {"max_instants": 5}
+        assert request.scenario_budget == ScenarioBudget(max_instants=5)
         with pytest.raises(ServeError):
             SimulateRequest.from_payload(
                 {"scenarios": [{}], "scenario_budget": {"max_seconds": 5}}
@@ -221,6 +222,7 @@ class TestSimulateRequest:
             {"scenarios": [{}], "workers": "two"},
             {"scenarios": [{}], "timeout": -1},
             {"scenarios": [{}], "strict": "yes"},
+            {"scenarios": [{}], "workers": None},
             {"scenarios": [{}], "record": [1]},
             {"scenarios": "all"},
         ):

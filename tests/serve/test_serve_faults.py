@@ -11,11 +11,20 @@ cleanly around faulted scenarios.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.casestudies.catalog import load_case_study
 from repro.serve.errors import ServeError
-from repro.serve.service import ServiceConfig, SimulationService
+from repro.serve.programs import SimulateRequest
+from repro.serve.service import ServiceConfig, SimulationService, SimulationStream
+from repro.sig import builder as b
+from repro.sig.engine import create_backend
+from repro.sig.expressions import register_stepwise_operation
+from repro.sig.process import ProcessModel
+from repro.sig.scenario import Scenario
+from repro.sig.values import INTEGER
 
 CASE = "producer_consumer"
 
@@ -35,6 +44,38 @@ def service():
     )
     svc.fingerprint = response["fingerprint"]
     return svc
+
+
+def _raise_memory(value):
+    raise MemoryError("user operator ran out of memory")
+
+
+def _raise_value(value):
+    raise ValueError(f"user operator refused {value}")
+
+
+register_stepwise_operation("serve_raise_memory", _raise_memory)
+register_stepwise_operation("serve_raise_value", _raise_value)
+
+
+def stream_user_op(op):
+    """Stream one scenario of a model whose user operator *op* raises."""
+    model = ProcessModel(f"stream_{op}")
+    model.input("x", INTEGER)
+    model.output("y", INTEGER)
+    model.define("y", b.func(op, b.ref("x")))
+    scenario = Scenario(8)
+    scenario.set_periodic("x", 1, value=3)
+    stream = SimulationStream(
+        entry=SimpleNamespace(fingerprint="user-op"),
+        runner=create_backend(model, backend="compiled", strict=False),
+        request=SimulateRequest.from_payload({"scenarios": [{}], "timeout": 30}),
+        scenarios=[scenario],
+        length=None,
+        release=lambda: None,
+    )
+    stream.start()
+    return list(stream)
 
 
 def simulate(service, **overrides):
@@ -184,7 +225,7 @@ class TestStreamingFaults:
             service.fingerprint,
             {
                 "scenarios": [{"default": True, "length": 200000}],
-                "timeout": 0.0,
+                "timeout": 0.001,
             },
         )
         events = list(stream)
@@ -192,3 +233,51 @@ class TestStreamingFaults:
         assert len(faults) == 1
         assert faults[0]["kind"] == "timeout"
         assert events[-1]["event"] == "done"
+
+    def test_user_memory_error_is_a_budget_fault(self):
+        events = stream_user_op("serve_raise_memory")
+        [fault] = [event for event in events if event["event"] == "fault"]
+        assert fault["kind"] == "budget"
+        assert fault["message"] == "user operator ran out of memory"
+        assert "traceback" not in fault
+        assert events[-1] == {
+            "event": "done", "scenarios": 1, "errors": 0, "faults": 1, "ok": False,
+        }
+
+    def test_user_exception_is_an_error_fault_with_traceback(self):
+        events = stream_user_op("serve_raise_value")
+        [fault] = [event for event in events if event["event"] == "fault"]
+        assert fault["kind"] == "error"
+        assert fault["attempts"] == 1
+        assert fault["message"].startswith("ValueError: user operator refused")
+        assert "Traceback (most recent call last)" in fault["traceback"]
+
+
+class TestSupervisionValues:
+    """Supervision values no batch can honour are 422s on both routes."""
+
+    BAD = (
+        {"timeout": 0},
+        {"timeout": -1.0},
+        {"workers": -5},
+        {"retries": -3},
+        {"backoff": -1.0},
+        {"max_failures": -1},
+        {"scenario_budget": -1},
+        {"scenario_budget": {"max_instants": "x"}},
+        {"scenario_budget": {"max_memory_mb": "big"}},
+        {"scenario_budget": {"max_memory_mb": 0}},
+    )
+
+    @pytest.mark.parametrize("overrides", BAD)
+    def test_simulate_rejects(self, service, overrides):
+        with pytest.raises(ServeError) as excinfo:
+            simulate(service, **overrides)
+        assert (excinfo.value.code, excinfo.value.status) == ("invalid-program", 422)
+
+    @pytest.mark.parametrize("overrides", BAD)
+    def test_stream_rejects(self, service, overrides):
+        body = {"scenarios": [{"default": True}], "hyperperiods": 1, **overrides}
+        with pytest.raises(ServeError) as excinfo:
+            service.stream_simulate(service.fingerprint, body)
+        assert (excinfo.value.code, excinfo.value.status) == ("invalid-program", 422)

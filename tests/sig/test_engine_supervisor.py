@@ -20,7 +20,6 @@ from repro.sig.engine import (
     FaultPlan,
     FaultSpec,
     ScenarioBudget,
-    create_backend,
     default_worker_count,
     simulate_batch,
 )
@@ -31,7 +30,6 @@ from repro.sig.engine.supervisor import (
     ScenarioTimeout,
     current_guard,
     guarded,
-    run_batch_supervised,
 )
 from repro.sig.expressions import register_stepwise_operation
 from repro.sig.process import ProcessModel
@@ -362,15 +360,6 @@ class TestSemantics:
         assert "error fault" in text
         assert not batch.ok
 
-    def test_run_batch_supervised_direct_four_tuple(self):
-        model = _make_model()
-        runner = create_backend(model, backend="compiled", strict=False)
-        scenarios = _make_scenarios(3)
-        traces, errors, sink_results, faults = run_batch_supervised(
-            runner, scenarios, workers=1, retries=0
-        )
-        assert len(traces) == 3 and not errors and not sink_results and not faults
-
 
 class TestExecutionGuard:
     def test_guard_is_installed_only_inside_guarded(self):
@@ -419,3 +408,78 @@ class TestSatellites:
     def test_default_worker_count_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert default_worker_count() == (os.cpu_count() or 1)
+
+
+class TestSupervisionValues:
+    """One check refuses values no batch can honour, whatever ``workers``."""
+
+    BAD = (
+        {"timeout": -1.0},
+        {"timeout": 0.0},
+        {"timeout": float("nan")},
+        {"timeout": float("inf")},
+        {"workers": -5},
+        {"workers": None},
+        {"retries": -3},
+        {"backoff": -1.0},
+        {"backoff": float("nan")},
+        {"max_failures": -1},
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("knobs", BAD)
+    def test_simulate_batch_refuses_before_running(self, knobs, workers):
+        [name] = knobs
+        calls = []
+        with pytest.raises(ValueError, match=name):
+            simulate_batch(
+                _make_model(), _make_scenarios(2), backend="compiled",
+                sink_factory=lambda index: calls.append(index) or StatisticsSink(),
+                **{"workers": workers, **knobs},
+            )
+        assert calls == []
+
+    def test_run_sweep_refuses_before_touching_the_directory(self, tmp_path):
+        from repro.sweep import GridSpace, run_sweep
+
+        out = tmp_path / "sweep"
+        space = GridSpace({"value": [1, 2]}, lambda value: _make_scenarios(1)[0])
+        for knobs in self.BAD + ({"scenario_budget": -1},):
+            with pytest.raises(ValueError):
+                run_sweep(_make_model(), space, str(out), length=8, **knobs)
+            assert not out.exists()
+
+    def test_defaults_and_boundaries_pass(self):
+        batch = simulate_batch(
+            _make_model(), _make_scenarios(2), backend="compiled",
+            workers=0, timeout=30, retries=0, backoff=0.0, max_failures=2,
+            scenario_budget=0,
+        )
+        assert [fault.kind for fault in batch.faults] == ["budget", "budget"]
+
+
+class TestScenarioBudgetFields:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"max_instants": "x"},
+            {"max_instants": -1},
+            {"max_instants": True},
+            {"max_instants": 2.5},
+            {"max_memory_mb": "big"},
+            {"max_memory_mb": 0},
+            {"max_memory_mb": -4.0},
+            {"max_memory_mb": float("nan")},
+            {"max_memory_mb": float("inf")},
+        ],
+    )
+    def test_bad_fields_are_value_errors(self, fields):
+        with pytest.raises(ValueError):
+            ScenarioBudget(**fields)
+        with pytest.raises(ValueError):
+            ScenarioBudget.coerce(fields)
+
+    def test_good_fields_pass(self):
+        assert ScenarioBudget(0, 0.5) == ScenarioBudget.coerce(
+            {"max_instants": 0, "max_memory_mb": 0.5}
+        )
