@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from ..sig.engine.faults import FaultPlan, FaultSpec
 from ..sig.engine.supervisor import ScenarioBudget, check_supervision
 from ..sig.scenario import (
     ConstantRule,
@@ -353,13 +354,17 @@ def delta_log_to_payload(log: Any) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 @dataclass
 class SimulateRequest:
-    """Validated form of a ``POST /models/{fp}/simulate`` body.
+    """Validated form of a ``POST /models/{fp}/simulate`` or
+    ``POST /models/{fp}/simulate/stream`` body.
 
-    Mirrors the :func:`~repro.sig.engine.batch.simulate_batch` keyword
-    surface plus the service-level knobs (sink selection, trace
+    Both routes take this one schema, and every field means the same on
+    both.  It mirrors the :func:`~repro.sig.engine.batch.simulate_batch`
+    keyword surface plus the service-level knobs (sink selection, trace
     inclusion, horizon defaulting via ``hyperperiods``).  Built through
     :meth:`from_payload`, which rejects unknown keys and type errors with
-    ``invalid-program`` so clients get a 422 naming the offending field.
+    ``invalid-program`` so clients get a 422 naming the offending field;
+    ``fault_plan`` arrives decoded into a
+    :class:`~repro.sig.engine.faults.FaultPlan`.
     """
 
     scenarios: List[Any] = field(default_factory=list)
@@ -374,7 +379,7 @@ class SimulateRequest:
     backoff: Optional[float] = None
     max_failures: Optional[int] = None
     scenario_budget: Optional[ScenarioBudget] = None
-    fault_plan: Optional[Any] = None
+    fault_plan: Optional[FaultPlan] = None
     include_trace: bool = True
     sinks: List[str] = field(default_factory=list)
     deltas_watch: Optional[List[str]] = None
@@ -447,7 +452,7 @@ class SimulateRequest:
             request.scenario_budget = ScenarioBudget.coerce(payload.get("scenario_budget"))
         except (TypeError, ValueError) as exc:
             raise invalid_program(str(exc))
-        request.fault_plan = payload.get("fault_plan")
+        request.fault_plan = _fault_plan(payload.get("fault_plan"))
         request.include_trace = _optional_bool(payload, "include_trace", True)
         sinks = payload.get("sinks", [])
         if not isinstance(sinks, Sequence) or isinstance(sinks, str):
@@ -460,6 +465,34 @@ class SimulateRequest:
         request.sinks = list(sinks)
         request.deltas_watch = _optional_str_list(payload, "deltas_watch")
         return request
+
+
+def _fault_plan(payload: Any) -> Optional[FaultPlan]:
+    """Decode the test-only ``fault_plan`` field (the service gates it)."""
+    if payload is None:
+        return None
+    if not isinstance(payload, list):
+        raise invalid_program("'fault_plan' must be an array of fault specs")
+    specs: List[FaultSpec] = []
+    for index, spec in enumerate(payload):
+        if not isinstance(spec, Mapping):
+            raise invalid_program(f"fault spec {index} must be an object")
+        unknown = sorted(set(spec) - {"kind", "scenario", "attempts", "delay"})
+        if unknown:
+            raise invalid_program(f"fault spec {index} has unknown key(s) {unknown}")
+        attempts = spec.get("attempts", [0])
+        try:
+            specs.append(
+                FaultSpec(
+                    kind=spec.get("kind", ""),
+                    scenario=spec.get("scenario", 0),
+                    attempts=tuple(attempts) if isinstance(attempts, list) else attempts,
+                    delay=spec.get("delay", 0.05),
+                )
+            )
+        except ValueError as exc:
+            raise invalid_program(f"fault spec {index}: {exc}")
+    return FaultPlan(tuple(specs))
 
 
 def _optional_int(

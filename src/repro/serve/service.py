@@ -5,12 +5,13 @@ fingerprint-keyed :class:`~repro.serve.cache.PlanCache`, the submit path
 (parse → canonicalise → fingerprint → analyse + compile exactly once), the
 simulate path (symbolic scenario programs through
 :func:`~repro.sig.engine.batch.simulate_batch` on resident prepared
-backends), the streaming path (chunked sink events with cooperative
-cancellation), and the server-level concurrency semaphore that turns
-overload into typed ``busy`` backpressure.  The standard-library HTTP
-server in :mod:`repro.serve.server` is a thin adapter over this class,
-and the conformance, fuzz, fault and E18 benchmark suites exercise this
-core directly, without a socket.
+backends), the streaming path (the same request through the same sink
+factory and in-process supervision loop, as chunked events with
+cooperative cancellation), and the server-level concurrency semaphore
+that turns overload into typed ``busy`` backpressure.  The
+standard-library HTTP server in :mod:`repro.serve.server` is a thin
+adapter over this class, and the conformance, fuzz, fault and E18
+benchmark suites exercise this core directly, without a socket.
 
 Request and response bodies everywhere are plain JSON-compatible dicts in
 the wire format of :mod:`repro.serve.programs`; failures raise
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..aadl.model import default_root
@@ -33,8 +34,7 @@ from ..core.toolchain import ToolchainOptions, TranslationConfig, run_toolchain
 from ..scheduling.static_scheduler import SchedulingError, SchedulingPolicy
 from ..sig.engine.backends import DEFAULT_BACKEND, create_backend
 from ..sig.engine.batch import BatchResult, default_scenario, simulate_batch
-from ..sig.engine.faults import FaultPlan, FaultSpec
-from ..sig.engine.supervisor import ScenarioFault, _attempt, _BatchJob
+from ..sig.engine.supervisor import _BatchJob, _supervise_in_process, _Supervision
 from ..sig.scenario import Scenario
 from ..sig.sinks import DeltaSink, MaterializeSink, StatisticsSink, TraceSink
 from ..sig.vcd import StreamingVcdSink
@@ -450,7 +450,7 @@ class SimulationService:
         in a 200 response rather than failing the request.
         """
         self.requests["simulate"] += 1
-        request = SimulateRequest.from_payload(payload)
+        request = self._request(payload)
         if "vcd" in request.sinks:
             raise invalid_program(
                 "the 'vcd' sink is stream-only; use POST "
@@ -462,31 +462,40 @@ class SimulationService:
         runner = entry.runner_for(
             request.backend or self.config.default_backend, request.strict
         )
-        fault_plan = self._decode_fault_plan(request.fault_plan)
-        sink_factory = _sink_factory(request) if request.sinks else None
-
-        with self._slot():
-            try:
-                result = simulate_batch(
-                    entry.system_model,
-                    scenarios,
-                    record=request.record,
-                    collect_errors=True,
-                    workers=request.workers,
-                    sink_factory=sink_factory,
-                    length=length,
-                    timeout=request.timeout,
-                    retries=request.retries,
-                    backoff=request.backoff,
-                    max_failures=request.max_failures,
-                    scenario_budget=request.scenario_budget,
-                    fault_plan=fault_plan,
-                    runner=runner,
-                )
-            except ValueError as exc:
-                # Unbounded scenarios without a horizon, bad record lists...
-                raise invalid_program(str(exc))
+        self._acquire_slot()
+        try:
+            result = simulate_batch(
+                entry.system_model,
+                scenarios,
+                record=request.record,
+                collect_errors=True,
+                workers=request.workers,
+                sink_factory=_SinkFactory(request),
+                length=length,
+                timeout=request.timeout,
+                retries=request.retries,
+                backoff=request.backoff,
+                max_failures=request.max_failures,
+                scenario_budget=request.scenario_budget,
+                fault_plan=request.fault_plan,
+                runner=runner,
+            )
+        except ValueError as exc:
+            # Unbounded scenarios without a horizon, bad record lists...
+            raise invalid_program(str(exc))
+        finally:
+            self._release_slot()
         return self._batch_response(entry, request, result)
+
+    def _request(self, payload: Any) -> SimulateRequest:
+        """Decode a simulate body (either route) and gate its fault plan."""
+        request = SimulateRequest.from_payload(payload)
+        if request.fault_plan is not None and not self.config.allow_fault_injection:
+            raise invalid_program(
+                "'fault_plan' is a test-only field; this server does not "
+                "allow fault injection"
+            )
+        return request
 
     def _entry(self, fingerprint: str) -> CachedModel:
         """The cached model of a simulate request (404 when missing)."""
@@ -495,29 +504,24 @@ class SimulationService:
             raise self._not_found(fingerprint)
         return entry
 
-    def _slot(self):
+    def _acquire_slot(self) -> None:
         """Admit one executing simulation, or reject with ``busy``/503."""
-        service = self
+        if not self._slots.acquire(blocking=False):
+            self.requests["rejected"] += 1
+            raise ServeError(
+                "busy",
+                f"server is executing {self.config.max_concurrent} "
+                "simulations already; retry later",
+                max_concurrent=self.config.max_concurrent,
+            )
+        with self._active_lock:
+            self._active += 1
 
-        class _Slot:
-            def __enter__(self) -> None:
-                if not service._slots.acquire(blocking=False):
-                    service.requests["rejected"] += 1
-                    raise ServeError(
-                        "busy",
-                        f"server is executing {service.config.max_concurrent} "
-                        "simulations already; retry later",
-                        max_concurrent=service.config.max_concurrent,
-                    )
-                with service._active_lock:
-                    service._active += 1
-
-            def __exit__(self, *exc_info: Any) -> None:
-                with service._active_lock:
-                    service._active -= 1
-                service._slots.release()
-
-        return _Slot()
+    def _release_slot(self) -> None:
+        """Free the slot :meth:`_acquire_slot` admitted."""
+        with self._active_lock:
+            self._active -= 1
+        self._slots.release()
 
     def _decode_scenarios(
         self, entry: CachedModel, request: SimulateRequest
@@ -588,49 +592,6 @@ class SimulationService:
                 )
         return None
 
-    def _decode_fault_plan(self, payload: Any) -> Optional[FaultPlan]:
-        """Decode the test-only ``fault_plan`` field into a FaultPlan."""
-        if payload is None:
-            return None
-        if not self.config.allow_fault_injection:
-            raise invalid_program(
-                "'fault_plan' is a test-only field; this server does not "
-                "allow fault injection"
-            )
-        if not isinstance(payload, list):
-            raise invalid_program("'fault_plan' must be an array of fault specs")
-        specs: List[FaultSpec] = []
-        for index, spec in enumerate(payload):
-            if not isinstance(spec, Mapping):
-                raise invalid_program(f"fault spec {index} must be an object")
-            unknown = sorted(set(spec) - {"kind", "scenario", "attempts", "delay"})
-            if unknown:
-                raise invalid_program(
-                    f"fault spec {index} has unknown key(s) {unknown}"
-                )
-            attempts = spec.get("attempts", (0,))
-            if attempts is not None:
-                if not isinstance(attempts, list) or not all(
-                    isinstance(a, int) and not isinstance(a, bool) for a in attempts
-                ):
-                    raise invalid_program(
-                        f"fault spec {index}: 'attempts' must be null (every "
-                        "attempt) or an array of integers"
-                    )
-                attempts = tuple(attempts)
-            try:
-                specs.append(
-                    FaultSpec(
-                        kind=spec.get("kind", ""),
-                        scenario=spec.get("scenario", 0),
-                        attempts=attempts,
-                        delay=spec.get("delay", 0.05),
-                    )
-                )
-            except ValueError as exc:
-                raise invalid_program(f"fault spec {index}: {exc}")
-        return FaultPlan(tuple(specs))
-
     def _batch_response(
         self, entry: CachedModel, request: SimulateRequest, result: BatchResult
     ) -> Dict[str, Any]:
@@ -644,12 +605,8 @@ class SimulationService:
                 item["error"] = simulation_error_payload(index, errors[index])
             elif index in faults:
                 item["fault"] = fault_payload(faults[index])
-            elif result.streamed:
-                item.update(
-                    _render_sinks(request, result.sink_results[index])
-                )
-            elif request.include_trace and result.traces[index] is not None:
-                item["trace"] = trace_to_payload(result.traces[index])
+            else:
+                item.update(_render_sinks(request, result.sink_results[index]))
             results.append(item)
         return {
             "fingerprint": entry.fingerprint,
@@ -671,34 +628,44 @@ class SimulationService:
         Validates the request up front (errors raise before any event is
         produced, mapping to their HTTP status); then returns a
         :class:`SimulationStream` whose iterator yields event dicts while
-        a worker thread simulates scenario by scenario.  Closing the
-        stream early (client disconnect) cancels the running scenario
-        cooperatively — its sinks are still ``on_close()``d.
+        a worker thread simulates scenario by scenario, through the same
+        sink factory, fault plan and in-process supervision loop as
+        :meth:`simulate` (so a stream refuses ``workers`` other than 1).
+        Closing the stream early (client disconnect) cancels the running
+        scenario cooperatively — its sinks are still ``on_close()``d.
         """
         self.requests["stream"] += 1
-        request = SimulateRequest.from_payload(payload)
-        if request.fault_plan is not None:
-            self._decode_fault_plan(request.fault_plan)  # validates / gates
+        request = self._request(payload)
+        if request.workers != 1:
+            raise invalid_program(
+                f"a stream runs its scenarios in this process ('workers' is "
+                f"{request.workers}, must be 1); to shard a batch over worker "
+                "processes use POST /models/{fp}/simulate"
+            )
         entry = self._entry(fingerprint)
         scenarios = self._decode_scenarios(entry, request)
-        length = self._resolve_length(entry, request, scenarios)
-        runner = entry.runner_for(
-            request.backend or self.config.default_backend, request.strict
+        job = _BatchJob(
+            entry.runner_for(
+                request.backend or self.config.default_backend, request.strict
+            ),
+            scenarios,
+            record=request.record,
+            sink_factory=_SinkFactory(request),
+            length=self._resolve_length(entry, request, scenarios),
+            timeout=request.timeout,
+            budget=request.scenario_budget,
+            fault_plan=request.fault_plan,
         )
-        slot = self._slot()
-        slot.__enter__()
-        try:
-            stream = SimulationStream(
-                entry=entry,
-                runner=runner,
-                request=request,
-                scenarios=scenarios,
-                length=length,
-                release=lambda: slot.__exit__(None, None, None),
-            )
-        except BaseException:
-            slot.__exit__(None, None, None)
-            raise
+        supervisor = _Supervision(
+            count=len(scenarios),
+            collect_errors=True,
+            streaming=True,
+            retries=request.retries,
+            backoff=request.backoff,
+            max_failures=request.max_failures,
+        )
+        stream = SimulationStream(entry, request, job, supervisor, self._release_slot)
+        self._acquire_slot()
         stream.start()
         return stream
 
@@ -723,7 +690,7 @@ class _StreamCancelled(BaseException):
 
     A :class:`BaseException`, like :class:`KeyboardInterrupt`: cancellation
     is not a scenario fault, so it passes through the supervisor's attempt
-    function to :meth:`SimulationStream._run_scenario`."""
+    function and in-process loop to :meth:`SimulationStream._run`."""
 
 
 class _CancelSink(TraceSink):
@@ -816,36 +783,43 @@ class SimulationStream:
     number of ``vcd`` chunks followed by its terminal event (``result`` on
     success — carrying the requested stats/deltas/trace payloads —
     ``error`` for deterministic model errors, ``fault`` for
-    timeout/budget/crash), and finally one ``done`` carrying batch
-    counters.  A scenario's work runs on a worker thread; the consumer
-    iterates at its own pace over a bounded queue.  :meth:`close` cancels
-    cooperatively: the running scenario aborts at its next instant, every
-    sink is ``on_close()``d by the backend, and the worker exits without
-    producing further events.
+    timeout/budget/crash/error), and finally one ``done`` carrying batch
+    counters.  The scenarios run on a worker thread through the batch
+    executor's in-process supervision loop, so retries, backoff, the
+    circuit breaker and the fault plan act as on the simulate route; each
+    ``vcd`` chunk names its ``attempt``, so a client can drop the chunks of
+    a failed one.  The consumer iterates at its own pace over a bounded
+    queue.  :meth:`close` cancels cooperatively: the running scenario
+    aborts at its next instant, every sink is ``on_close()``d by the
+    backend, and the worker exits without producing further events.
     """
 
     def __init__(
         self,
         entry: CachedModel,
-        runner: Any,
         request: SimulateRequest,
-        scenarios: List[Scenario],
-        length: Optional[int],
+        job: _BatchJob,
+        supervisor: _Supervision,
         release: Callable[[], None],
     ) -> None:
         import queue
 
         self._entry = entry
-        self._runner = runner
         self._request = request
-        self._scenarios = scenarios
-        self._length = length
+        self._factory = job.sink_factory
+        self._job = replace(job, sink_factory=self._sinks)
+        self._supervisor = supervisor
         self._release = release
         self._queue: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue(maxsize=64)
         self._cancelled = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._consumed = False
         self._released = False
+        #: Failed attempts charged before the running scenario started;
+        #: scenarios run one at a time, so the failures since then number
+        #: the running scenario's attempt.
+        self._failures_before = 0
+        self._writer: Optional[_ChunkWriter] = None
         #: Observability for the disconnect tests: sinks closed per scenario.
         self.sinks_closed = 0
         self.scenarios_started = 0
@@ -908,32 +882,67 @@ class SimulationStream:
                 continue
         raise _StreamCancelled()
 
+    def _sinks(self, index: int) -> List[TraceSink]:
+        """One attempt's sinks: the request's, then VCD and cancel, tracked."""
+        self.scenarios_started = index + 1
+        attempt = self._supervisor.failures - self._failures_before
+        sinks = self._factory(index)
+        self._writer = None
+        if "vcd" in self._request.sinks:
+            self._writer = _ChunkWriter(
+                lambda chunk: self._put(
+                    {"event": "vcd", "scenario": index, "attempt": attempt, "chunk": chunk}
+                )
+            )
+            sinks.append(StreamingVcdSink(self._writer))
+        sinks.append(_CancelSink(self._cancelled))
+        return [_TrackedSink(sink, self._count_close) for sink in sinks]
+
+    def _count_close(self) -> None:
+        """Count one closed sink (the disconnect tests read it)."""
+        self.sinks_closed += 1
+
+    def _backoff(self, seconds: float) -> None:
+        """Wait out a retry's backoff, unless the client goes away first."""
+        if self._cancelled.wait(seconds):
+            raise _StreamCancelled()
+
     def _run(self) -> None:
-        """Worker loop: simulate scenario by scenario, emitting events."""
+        """Worker loop: one event per scenario outcome the supervisor files."""
+        supervisor = self._supervisor
         try:
             self._put(
                 {
                     "event": "open",
                     "fingerprint": self._entry.fingerprint,
-                    "backend": self._runner.name,
-                    "scenarios": len(self._scenarios),
+                    "backend": self._job.runner.name,
+                    "scenarios": supervisor.count,
                 }
             )
             errors = 0
             faults = 0
-            for index in range(len(self._scenarios)):
-                self.scenarios_started += 1
-                outcome = self._run_scenario(index)
-                if outcome == "error":
+            for index in _supervise_in_process(supervisor, self._job, self._backoff):
+                self._failures_before = supervisor.failures
+                tag, payload = supervisor.outcomes[index]
+                if tag == "sim-error":
                     errors += 1
-                elif outcome == "fault":
+                    event = {"event": "error", **simulation_error_payload(index, payload)}
+                elif tag == "fault":
                     faults += 1
-                if outcome == "cancelled":
-                    return
+                    event = {"event": "fault", **fault_payload(payload)}
+                else:
+                    if self._writer is not None:
+                        self._writer.flush()
+                    event = {
+                        "event": "result",
+                        "scenario": index,
+                        **_render_sinks(self._request, payload),
+                    }
+                self._put(event)
             self._put(
                 {
                     "event": "done",
-                    "scenarios": len(self._scenarios),
+                    "scenarios": supervisor.count,
                     "errors": errors,
                     "faults": faults,
                     "ok": not errors and not faults,
@@ -944,106 +953,24 @@ class SimulationStream:
         finally:
             self._queue.put(None)
 
-    def _run_scenario(self, index: int) -> str:
-        """Run one scenario into fresh sinks; emit its terminal event."""
-        request = self._request
-        sinks: List[TraceSink] = []
-        stats_sink = deltas_sink = materialize_sink = None
-        writer = None
-        if "stats" in request.sinks:
-            stats_sink = StatisticsSink()
-            sinks.append(stats_sink)
-        if "deltas" in request.sinks:
-            deltas_sink = DeltaSink(request.deltas_watch)
-            sinks.append(deltas_sink)
-        if "vcd" in request.sinks:
-            writer = _ChunkWriter(
-                lambda chunk: self._put(
-                    {"event": "vcd", "scenario": index, "chunk": chunk}
-                )
-            )
-            sinks.append(StreamingVcdSink(writer))
-        if request.include_trace:
-            materialize_sink = MaterializeSink()
-            sinks.append(materialize_sink)
-        sinks.append(_CancelSink(self._cancelled))
-
-        def closed() -> None:
-            self.sinks_closed += 1
-
-        tracked = [_TrackedSink(sink, closed) for sink in sinks]
-        job = _BatchJob(
-            self._runner,
-            self._scenarios,
-            record=request.record,
-            sink_factory=lambda _index: tracked,
-            length=self._length,
-            timeout=request.timeout,
-            budget=request.scenario_budget,
-        )
-        try:
-            tag, payload = _attempt(job, index)
-        except _StreamCancelled:
-            return "cancelled"
-        if tag == "sim-error":
-            self._put(
-                {
-                    "event": "error",
-                    "scenario": index,
-                    **simulation_error_payload(index, payload),
-                }
-            )
-            return "error"
-        if tag != "ok":
-            message, trace = payload
-            fault = ScenarioFault(index, tag, 1, message=message, traceback=trace)
-            self._put(
-                {"event": "fault", "scenario": index, **fault_payload(fault)}
-            )
-            return "fault"
-        if writer is not None:
-            writer.flush()
-        payload: Dict[str, Any] = {"event": "result", "scenario": index}
-        if stats_sink is not None:
-            payload["stats"] = statistics_to_payload(stats_sink.result())
-        if deltas_sink is not None:
-            payload["deltas"] = delta_log_to_payload(deltas_sink.result())
-        if materialize_sink is not None:
-            payload["trace"] = trace_to_payload(materialize_sink.result())
-        self._put(payload)
-        return "ok"
-
-
-def _sink_factory(request: SimulateRequest):
-    """Build the per-scenario sink factory of a non-streaming sink request.
-
-    Returns a picklable factory (closing over only plain data) producing,
-    per scenario, the requested sinks in a fixed order — plus a
-    materialising sink when the request also wants traces — so
-    :func:`_render_sinks` can address them positionally.
-    """
-    return _SinkFactory(
-        stats="stats" in request.sinks,
-        deltas="deltas" in request.sinks,
-        deltas_watch=tuple(request.deltas_watch or ()) or None,
-        materialize=request.include_trace,
-    )
-
 
 class _SinkFactory:
-    """Picklable sink factory used by ``workers=N`` sink batches."""
+    """The sinks a simulate request asks for, fresh per scenario attempt.
 
-    def __init__(
-        self,
-        stats: bool,
-        deltas: bool,
-        deltas_watch: Optional[Tuple[str, ...]],
-        materialize: bool,
-    ) -> None:
-        self.stats = stats
-        self.deltas = deltas
-        self.deltas_watch = deltas_watch
-        self.materialize = materialize
+    Built from the request on both routes; it keeps only plain data, so it
+    pickles to ``workers=N`` batches.  Sinks come in a fixed order — stats,
+    deltas, then a materialising sink when the request wants traces — so
+    :func:`_render_sinks` can address their results positionally (the
+    stream appends its own sinks after them).  ``deltas_watch`` follows
+    :class:`~repro.sig.sinks.DeltaSink`: ``None`` watches every recorded
+    signal, ``[]`` none.
+    """
+
+    def __init__(self, request: SimulateRequest) -> None:
+        self.stats = "stats" in request.sinks
+        self.deltas = "deltas" in request.sinks
+        self.deltas_watch = request.deltas_watch
+        self.materialize = request.include_trace
 
     def __call__(self, index: int) -> List[TraceSink]:
         """Fresh sinks for scenario *index*, in the fixed rendering order."""

@@ -22,8 +22,6 @@ from ..simulator import SimulationError, SimulationTrace
 from ..sinks import SinkFactory, presence_summary
 from .backends import DEFAULT_BACKEND, create_backend
 from .supervisor import (
-    DEFAULT_BACKOFF,
-    DEFAULT_RETRIES,
     ScenarioBudget,
     _BatchJob,
     _supervise,
@@ -240,8 +238,8 @@ def simulate_batch(
         count=count,
         collect_errors=collect_errors,
         streaming=sink_factory is not None,
-        retries=DEFAULT_RETRIES if retries is None else retries,
-        backoff=DEFAULT_BACKOFF if backoff is None else backoff,
+        retries=retries,
+        backoff=backoff,
         max_failures=max_failures,
     )
     traces, errors, sink_results, faults = _supervise(

@@ -35,6 +35,7 @@ plans travel to spawn-based workers unchanged.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
@@ -49,6 +50,11 @@ FAULT_KINDS = ("crash", "hang", "exception", "slowdown")
 #: Exit code of an injected crash — distinguishable from a Python traceback
 #: exit (1) and reminiscent of SIGABRT's 128+6.
 CRASH_EXIT_CODE = 134
+
+
+def _is_count(value: object) -> bool:
+    """``True`` for a non-bool ``int`` >= 0 (a scenario or attempt number)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 class FaultInjected(RuntimeError):
@@ -67,7 +73,9 @@ class FaultSpec:
     ``attempts`` lists the attempt numbers (0-based) at which the fault
     fires; ``None`` means *every* attempt — a persistent fault the retry
     ladder cannot recover from.  ``delay`` is the slowdown duration (and
-    the polling period of an injected hang).
+    the polling period of an injected hang).  The constructor refuses a
+    negative or non-integer ``scenario``/attempt number and a ``delay``
+    that is not a finite number >= 0 with :class:`ValueError`.
     """
 
     kind: str
@@ -80,6 +88,22 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {', '.join(FAULT_KINDS)}"
             )
+        if not _is_count(self.scenario):
+            raise ValueError(f"scenario must be an integer >= 0, got {self.scenario!r}")
+        if self.attempts is not None and not (
+            isinstance(self.attempts, tuple) and all(map(_is_count, self.attempts))
+        ):
+            raise ValueError(
+                "attempts must be None (every attempt) or a tuple of integers "
+                f">= 0, got {self.attempts!r}"
+            )
+        if (
+            isinstance(self.delay, bool)
+            or not isinstance(self.delay, (int, float))
+            or not math.isfinite(self.delay)
+            or self.delay < 0
+        ):
+            raise ValueError(f"delay must be a finite number >= 0, got {self.delay!r}")
 
     def matches(self, scenario: int, attempt: int) -> bool:
         """``True`` when this spec fires for *scenario* at *attempt*."""

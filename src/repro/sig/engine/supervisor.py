@@ -40,10 +40,13 @@ tag of the fault taxonomy — ``ok``, ``sim-error`` (a
 :class:`~repro.sig.simulator.SimulationError`), ``crash`` (an injected
 in-process crash), ``timeout``, ``budget`` (a :class:`ScenarioBudget`
 bound or a ``MemoryError``) or ``error`` (any other exception, reported as
-``"{Type}: {message}"`` with its traceback).  The pooled workers, the
-in-process loop and the serving layer's streamed runs all call it; only a
-pooled worker can additionally die (``crash``) or be killed for silence
-(``timeout``).
+``"{Type}: {message}"`` with its traceback).  The pooled workers and the
+in-process loop both call it; only a pooled worker can additionally die
+(``crash``) or be killed for silence (``timeout``).  The serving layer's
+streamed runs share more than the attempt: they iterate the in-process
+loop itself, :func:`_supervise_in_process`, which yields each scenario as
+its outcome is filed, so a stream retries, backs off, trips the circuit
+breaker and fires its fault plan exactly as a batch does.
 
 Supervision model
 -----------------
@@ -119,7 +122,7 @@ import traceback as traceback_module
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..scenario import Scenario
 from ..simulator import SimulationError, SimulationTrace
@@ -603,14 +606,15 @@ _Outcome = Tuple[
 
 @dataclass
 class _Supervision:
-    """Bookkeeping of one supervised batch: its checked settings, outcomes,
-    the retry queue, the failure counter and the circuit breaker."""
+    """Bookkeeping of one supervised batch: its checked settings (``None``
+    retries/backoff select the defaults), outcomes, the retry queue, the
+    failure counter and the circuit breaker."""
 
     count: int
     collect_errors: bool
     streaming: bool
-    retries: int
-    backoff: float
+    retries: Optional[int]
+    backoff: Optional[float]
     max_failures: Optional[int]
     failures: int = 0
     circuit_open: bool = False
@@ -619,6 +623,10 @@ class _Supervision:
     #: Retry/task heap: ``(ready_time, sequence, task)``.
     ready: List[Tuple[float, int, List[Tuple[int, int]]]] = field(default_factory=list)
     _sequence: Iterator[int] = field(default_factory=itertools.count)
+
+    def __post_init__(self) -> None:
+        self.retries = DEFAULT_RETRIES if self.retries is None else self.retries
+        self.backoff = DEFAULT_BACKOFF if self.backoff is None else self.backoff
 
     # -- task scheduling ------------------------------------------------
     def enqueue(self, task: List[Tuple[int, int]], ready_at: float = 0.0) -> None:
@@ -747,7 +755,8 @@ def _supervise(job: _BatchJob, supervisor: _Supervision, workers: int) -> _Outco
                     _stop_worker(worker, kill=True)
                 team = []
         if not team:
-            _supervise_in_process(supervisor, job)
+            for _ in _supervise_in_process(supervisor, job):
+                pass
             return supervisor.assemble()
         chunk = math.ceil(count / (workers * 4))
         for start in range(0, count, chunk):
@@ -867,17 +876,26 @@ def _supervise_pool(
                 replace(slot, kill=True)
 
 
-def _supervise_in_process(supervisor: _Supervision, job: _BatchJob) -> None:
+def _supervise_in_process(
+    supervisor: _Supervision, job: _BatchJob, sleep: Callable[[float], None] = time.sleep
+) -> Iterator[int]:
     """Degraded (single-process) supervision: cooperative budgets/timeouts
     through the backends' guard checks, the same retry ladder, circuit
     breaker and fault taxonomy as the pooled path.  Each scenario's retries
-    run before the next scenario starts."""
+    run before the next scenario starts.
+
+    Yields each scenario index in order as soon as its outcome is filed in
+    ``supervisor.outcomes`` (scenarios the open circuit breaker abandons
+    included), so the serving layer's stream can report scenario by
+    scenario; :func:`_supervise` simply drains it.  *sleep* waits out each
+    retry's backoff (the stream passes one a client disconnect cuts short)."""
     for index in range(supervisor.count):
-        if supervisor.circuit_open:
-            break
-        supervisor.enqueue([(index, 0)])
+        if not supervisor.circuit_open:
+            supervisor.enqueue([(index, 0)])
+        elif index not in supervisor.outcomes:
+            supervisor.abandon_undecided()
         while supervisor.ready:
-            time.sleep(max(0.0, supervisor.next_ready_at() - time.monotonic()))
+            sleep(max(0.0, supervisor.next_ready_at() - time.monotonic()))
             [(index, attempt)] = supervisor.next_task(math.inf)
             tag, payload = _attempt(job, index, attempt)
             if tag == "sim-error" and not supervisor.collect_errors:
@@ -885,8 +903,7 @@ def _supervise_in_process(supervisor: _Supervision, job: _BatchJob) -> None:
                 # touching the scenarios after the failing one.
                 raise payload
             supervisor.record(index, attempt, tag, payload)
-    if supervisor.circuit_open:
-        supervisor.abandon_undecided()
+        yield index
 
 
 __all__ = [

@@ -11,6 +11,7 @@ cleanly around faulted scenarios.
 
 from __future__ import annotations
 
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -18,9 +19,15 @@ import pytest
 from repro.casestudies.catalog import load_case_study
 from repro.serve.errors import ServeError
 from repro.serve.programs import SimulateRequest
-from repro.serve.service import ServiceConfig, SimulationService, SimulationStream
+from repro.serve.service import (
+    ServiceConfig,
+    SimulationService,
+    SimulationStream,
+    _SinkFactory,
+)
 from repro.sig import builder as b
 from repro.sig.engine import create_backend
+from repro.sig.engine.supervisor import _BatchJob, _Supervision
 from repro.sig.expressions import register_stepwise_operation
 from repro.sig.process import ProcessModel
 from repro.sig.scenario import Scenario
@@ -66,12 +73,20 @@ def stream_user_op(op):
     model.define("y", b.func(op, b.ref("x")))
     scenario = Scenario(8)
     scenario.set_periodic("x", 1, value=3)
+    request = SimulateRequest.from_payload({"scenarios": [{}], "timeout": 30})
     stream = SimulationStream(
         entry=SimpleNamespace(fingerprint="user-op"),
-        runner=create_backend(model, backend="compiled", strict=False),
-        request=SimulateRequest.from_payload({"scenarios": [{}], "timeout": 30}),
-        scenarios=[scenario],
-        length=None,
+        request=request,
+        job=_BatchJob(
+            create_backend(model, backend="compiled", strict=False),
+            [scenario],
+            sink_factory=_SinkFactory(request),
+            timeout=request.timeout,
+        ),
+        supervisor=_Supervision(
+            count=1, collect_errors=True, streaming=True,
+            retries=request.retries, backoff=request.backoff, max_failures=None,
+        ),
         release=lambda: None,
     )
     stream.start()
@@ -115,9 +130,26 @@ class TestInjectionGate:
             [{"kind": "meteor", "scenario": 0}],
             [{"kind": "crash", "scenario": 0, "retries": 9}],
             [{"kind": "crash", "scenario": 0, "attempts": ["first"]}],
+            [{"kind": "crash", "scenario": "0"}],
+            [{"kind": "crash", "scenario": 0, "attempts": [-1]}],
+            [{"kind": "slowdown", "scenario": 0, "delay": -1}],
+            [{"kind": "slowdown", "scenario": 0, "delay": "x"}],
         ):
-            with pytest.raises(ServeError):
-                simulate(service, fault_plan=plan)
+            for route in (service.simulate, service.stream_simulate):
+                with pytest.raises(ServeError) as excinfo:
+                    route(
+                        service.fingerprint,
+                        {"scenarios": [{"default": True}], "hyperperiods": 1,
+                         "fault_plan": plan},
+                    )
+                assert excinfo.value.code == "invalid-program"
+
+    def test_spec_without_attempts_fires_on_the_first_attempt(self, service):
+        response = simulate(
+            service, fault_plan=[{"kind": "crash", "scenario": 0}], retries=0
+        )
+        assert response["results"][0]["fault"]["kind"] == "crash"
+        assert "trace" in response["results"][1]
 
 
 class TestFaultTaxonomy:
@@ -234,6 +266,23 @@ class TestStreamingFaults:
         assert faults[0]["kind"] == "timeout"
         assert events[-1]["event"] == "done"
 
+    def test_close_cuts_a_retry_backoff_short(self, service):
+        stream = service.stream_simulate(
+            service.fingerprint,
+            {
+                "scenarios": [{"default": True}],
+                "hyperperiods": 1,
+                "retries": 2,
+                "backoff": 60.0,
+                "fault_plan": [{"kind": "exception", "scenario": 0, "attempts": None}],
+            },
+        )
+        assert next(iter(stream))["event"] == "open"
+        started = time.monotonic()
+        stream.close()
+        assert time.monotonic() - started < 10.0
+        assert service.stats()["active_simulations"] == 0
+
     def test_user_memory_error_is_a_budget_fault(self):
         events = stream_user_op("serve_raise_memory")
         [fault] = [event for event in events if event["event"] == "fault"]
@@ -248,7 +297,7 @@ class TestStreamingFaults:
         events = stream_user_op("serve_raise_value")
         [fault] = [event for event in events if event["event"] == "fault"]
         assert fault["kind"] == "error"
-        assert fault["attempts"] == 1
+        assert fault["attempts"] == 3  # the first attempt and two default retries
         assert fault["message"].startswith("ValueError: user operator refused")
         assert "Traceback (most recent call last)" in fault["traceback"]
 
@@ -281,3 +330,34 @@ class TestSupervisionValues:
         with pytest.raises(ServeError) as excinfo:
             service.stream_simulate(service.fingerprint, body)
         assert (excinfo.value.code, excinfo.value.status) == ("invalid-program", 422)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_stream_refuses_workers_other_than_one(self, service, workers):
+        body = {"scenarios": [{"default": True}], "hyperperiods": 1, "workers": workers}
+        with pytest.raises(ServeError) as excinfo:
+            service.stream_simulate(service.fingerprint, body)
+        assert (excinfo.value.code, excinfo.value.status) == ("invalid-program", 422)
+        assert "POST /models/{fp}/simulate" in excinfo.value.message
+        assert service.stats()["active_simulations"] == 0
+
+    def test_vcd_chunks_name_their_attempt(self, service):
+        body = {"scenarios": [{"default": True}] * 2, "hyperperiods": 1, "sinks": ["vcd"]}
+        clean = list(service.stream_simulate(service.fingerprint, body))
+        events = list(
+            service.stream_simulate(
+                service.fingerprint,
+                {**body, "retries": 2,
+                 "fault_plan": [{"kind": "crash", "scenario": 0, "attempts": [0, 1]}]},
+            )
+        )
+        chunks = [event for event in events if event["event"] == "vcd"]
+        assert {(e["scenario"], e["attempt"]) for e in chunks} == {(0, 2), (1, 0)}
+        assert all(e["attempt"] == 0 for e in clean if e["event"] == "vcd")
+        for scenario in (0, 1):
+            assert "".join(
+                e["chunk"] for e in chunks if e["scenario"] == scenario
+            ) == "".join(
+                e["chunk"] for e in clean
+                if e["event"] == "vcd" and e["scenario"] == scenario
+            )
+        assert events[-1]["ok"] is True

@@ -483,3 +483,32 @@ class TestScenarioBudgetFields:
         assert ScenarioBudget(0, 0.5) == ScenarioBudget.coerce(
             {"max_instants": 0, "max_memory_mb": 0.5}
         )
+
+
+class TestFaultSpecFields:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"scenario": "0"},
+            {"scenario": -1},
+            {"scenario": True},
+            {"scenario": 1.0},
+            {"attempts": [0]},
+            {"attempts": (-1,)},
+            {"attempts": (True,)},
+            {"attempts": ("first",)},
+            {"delay": -1},
+            {"delay": "x"},
+            {"delay": True},
+            {"delay": float("nan")},
+            {"delay": float("inf")},
+        ],
+    )
+    def test_bad_fields_are_value_errors(self, fields):
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            FaultSpec(**{"kind": "crash", "scenario": 0, **fields})
+
+    def test_good_fields_pass(self):
+        spec = FaultSpec("slowdown", 3, attempts=(0, 2), delay=0)
+        assert spec.matches(3, 2) and not spec.matches(3, 1)
+        assert FaultSpec("hang", 0, attempts=None, delay=0.5).persistent
