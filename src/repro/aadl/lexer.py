@@ -9,6 +9,7 @@ for keywords and identifiers alike).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -30,12 +31,14 @@ class Token:
     text: str
     location: SourceLocation
 
-    @property
+    @functools.cached_property
     def lowered(self) -> str:
         return self.text.lower()
 
     def is_keyword(self, *keywords: str) -> bool:
-        return self.kind is TokenKind.IDENTIFIER and self.lowered in {k.lower() for k in keywords}
+        """Is this an identifier spelled, in any case, like one of the
+        lowercase *keywords*?"""
+        return self.kind is TokenKind.IDENTIFIER and self.lowered in keywords
 
     def is_punct(self, *symbols: str) -> bool:
         return self.kind is TokenKind.PUNCTUATION and self.text in symbols

@@ -60,6 +60,7 @@ ERROR_STATUS: Dict[str, int] = {
     "bad-request": 400,
     "not-found": 404,
     "method-not-allowed": 405,
+    "internal": 500,
 }
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from ..sig.engine.batch import default_scenario
 from ..sig.engine.faults import FaultPlan, FaultSpec
 from ..sig.engine.supervisor import ScenarioBudget, check_supervision
 from ..sig.scenario import (
@@ -51,6 +52,7 @@ from ..sig.scenario import (
     Scenario,
     SparseRule,
 )
+from ..sig.process import ProcessModel
 from ..sig.simulator import SimulationTrace
 from ..sig.values import ABSENT, Flow, is_absent
 from .errors import invalid_program
@@ -243,22 +245,39 @@ def scenario_to_payload(scenario: Scenario) -> Dict[str, Any]:
     }
 
 
-def scenario_from_payload(payload: Any) -> Scenario:
-    """Decode one scenario payload (``{"length", "inputs"}``)."""
+def scenario_from_payload(payload: Any, process: Optional[ProcessModel] = None) -> Scenario:
+    """Decode one scenario payload (``{"length", "inputs"}``), or — given the
+    model's *process* — the ``{"default": true, "stimuli", "length"}`` form."""
     if not isinstance(payload, Mapping):
         raise invalid_program(
             f"scenario must be an object, got {type(payload).__name__}"
         )
-    unknown = sorted(set(payload) - {"length", "inputs"})
+    default = process is not None and payload.get("default")
+    allowed = {"default", "length", "stimuli"} if default else {"length", "inputs"}
+    unknown = sorted(set(payload) - allowed)
     if unknown:
         raise invalid_program(
-            f"scenario has unknown key(s) {unknown}; allowed: "
-            "['inputs', 'length'] (or the {'default': true} form)"
+            f"scenario has unknown key(s) {unknown}; allowed: {sorted(allowed)}"
+            + ("" if default else " (or the {'default': true} form)")
         )
     length = payload.get("length")
     if length is not None and (isinstance(length, bool) or not isinstance(length, int)):
         raise invalid_program(f"scenario length must be an integer or null, got {length!r}")
+    if default:
+        stimuli = payload.get("stimuli") or {}
+        if not isinstance(stimuli, Mapping) or not all(
+            isinstance(name, str)
+            and isinstance(period, int)
+            and not isinstance(period, bool)
+            and period > 0
+            for name, period in stimuli.items()
+        ):
+            raise invalid_program(
+                "'stimuli' must map signal names to positive integer periods"
+            )
     try:
+        if default:
+            return default_scenario(process, length, dict(stimuli))
         scenario = Scenario(length)
     except ValueError as exc:
         raise invalid_program(str(exc))

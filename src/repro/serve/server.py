@@ -6,8 +6,10 @@ onto one :class:`~repro.serve.service.SimulationService` method.  Request
 bodies are JSON, validated by the service core alone.  Every failure is a
 typed JSON error body with its mapped status: the service's own codes,
 plus ``bad-request``, ``not-found`` and ``method-not-allowed`` for faults
-of the HTTP request itself.  The stream route sends one ``data: <json>``
-Server-Sent Event per stream event over ``Transfer-Encoding: chunked``.
+of the HTTP request itself, and ``internal`` (500) for any other exception.
+The stream route sends one ``data: <json>`` Server-Sent Event per stream
+event over ``Transfer-Encoding: chunked``; one that fails after its headers
+ends with an ``error`` event carrying the ``internal`` body.
 
 The transport bounds are module constants: :data:`REQUEST_TIMEOUT` on
 every socket read and write, so a client that stalls or stops reading is
@@ -21,6 +23,7 @@ import json
 import re
 import socket
 import socketserver
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, List, Optional, Tuple
 from urllib.parse import unquote, urlsplit
@@ -61,6 +64,15 @@ ROUTES = [
 ]
 
 
+#: A client that went away or stalled: the connection is dropped, not answered.
+_DISCONNECTS = (BrokenPipeError, ConnectionResetError, socket.timeout)
+
+
+def _internal(error: Exception) -> ServeError:
+    """The typed ``internal`` (500) error for a fault the service left untyped."""
+    return ServeError("internal", f"internal error: {type(error).__name__}: {error}")
+
+
 class ServiceHandler(BaseHTTPRequestHandler):
     """One connection: routes each request to the service core."""
 
@@ -79,6 +91,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
             result = call(self.server.service, *args)
         except ServeError as error:
             self._send_json(error.status, error_payload(error))
+            return
+        except _DISCONNECTS:
+            raise
+        except Exception as error:  # untyped: answer, never drop the client
+            self.log_error("internal error:\n%s", traceback.format_exc())
+            self._send_json(500, error_payload(_internal(error)))
             return
         if isinstance(result, SimulationStream):
             self._send_stream(result)
@@ -140,15 +158,28 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self.send_header("Cache-Control", "no-cache")
             self.send_header("Transfer-Encoding", "chunked")
             self.end_headers()
-            for event in stream:
-                data = f"data: {json.dumps(event)}\n\n".encode("utf-8")
-                self.wfile.write(b"%X\r\n%s\r\n" % (len(data), data))
+            try:
+                for event in stream:
+                    self._send_event(event)
+            except _DISCONNECTS:
+                raise
+            except Exception as error:  # headers are out: end with an event
+                self.log_error("internal error:\n%s", traceback.format_exc())
+                # Free the slot before the client sees the end, as a stream
+                # that runs to ``done`` does.
+                stream.close()
+                self._send_event({"event": "error", **error_payload(_internal(error))})
             self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError, socket.timeout):
+        except _DISCONNECTS:
             self.close_connection = True
         finally:
             # Cancels the scenario still running, if any, and frees the slot.
             stream.close()
+
+    def _send_event(self, event: Any) -> None:
+        """Send one Server-Sent Event as one chunk."""
+        data = f"data: {json.dumps(event)}\n\n".encode("utf-8")
+        self.wfile.write(b"%X\r\n%s\r\n" % (len(data), data))
 
     def send_error(
         self, code: int, message: Optional[str] = None, explain: Optional[str] = None

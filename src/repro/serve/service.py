@@ -33,7 +33,7 @@ from ..aadl.parser import parse_string
 from ..core.toolchain import ToolchainOptions, TranslationConfig, run_toolchain
 from ..scheduling.static_scheduler import SchedulingError, SchedulingPolicy
 from ..sig.engine.backends import DEFAULT_BACKEND, create_backend
-from ..sig.engine.batch import BatchResult, default_scenario, simulate_batch
+from ..sig.engine.batch import BatchResult, simulate_batch
 from ..sig.engine.supervisor import _BatchJob, _supervise_in_process, _Supervision
 from ..sig.scenario import Scenario
 from ..sig.sinks import DeltaSink, MaterializeSink, StatisticsSink, TraceSink
@@ -529,38 +529,8 @@ class SimulationService:
         """Decode the request's scenario payloads (symbolic or default-form)."""
         scenarios: List[Scenario] = []
         for index, payload in enumerate(request.scenarios):
-            if isinstance(payload, Mapping) and payload.get("default"):
-                unknown = sorted(set(payload) - {"default", "stimuli", "length"})
-                if unknown:
-                    raise invalid_program(
-                        f"scenario {index}: default-scenario form has unknown "
-                        f"key(s) {unknown}; allowed: ['default', 'length', 'stimuli']"
-                    )
-                stimuli = payload.get("stimuli") or {}
-                if not isinstance(stimuli, Mapping) or not all(
-                    isinstance(name, str)
-                    and isinstance(period, int)
-                    and not isinstance(period, bool)
-                    and period > 0
-                    for name, period in stimuli.items()
-                ):
-                    raise invalid_program(
-                        f"scenario {index}: 'stimuli' must map signal names to "
-                        "positive integer periods"
-                    )
-                length = payload.get("length")
-                if length is not None and (
-                    isinstance(length, bool) or not isinstance(length, int)
-                ):
-                    raise invalid_program(
-                        f"scenario {index}: 'length' must be an integer or null"
-                    )
-                scenarios.append(
-                    default_scenario(entry.system_model, length, dict(stimuli))
-                )
-                continue
             try:
-                scenarios.append(scenario_from_payload(payload))
+                scenarios.append(scenario_from_payload(payload, entry.system_model))
             except ServeError as exc:
                 raise invalid_program(f"scenario {index}: {exc.message}")
         return scenarios

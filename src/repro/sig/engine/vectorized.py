@@ -20,12 +20,14 @@ and evaluated for a whole **instant block** at once:
   and other pre-stratum targets, and runs before any per-instant work;
 * the **recurrence stratum** holds delay/feedback pairs ``z = y $ 1``,
   ``y = f(z, ...)`` whose step is a pure value expression over z and
-  block-available operands: they are executed as **scan kernels** over the
+  block-available operands, or that step sampled, ``y = f(z, ...) when
+  ^c`` (the scheduler's event counters ``index := (zindex + 1) when
+  ^tick``): they are executed as **scan kernels** over the
   block (an ``np.add.accumulate`` prefix scan for affine steps
   ``y = z ± e``, a tight generated scalar loop otherwise), unblocking the
   pre-sweep targets that read them; promotion requires a synchronisation
-  group proving the pair's clock, and any run-time clock disagreement
-  falls back to the interpreted sweep for the block;
+  group proving the pair's clock, and any run-time clock disagreement —
+  ``c`` included — falls back to the interpreted sweep for the block;
 * the **residual sweep** is everything stateful or order-sensitive —
   delays, cells, shared variables, multi-definition targets, undeclared
   targets, user-registered operators, instantaneous cycles — and runs
@@ -61,6 +63,8 @@ on the compiled backend.
 
 from __future__ import annotations
 
+import functools
+import heapq
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -128,6 +132,10 @@ def _np_min(a, b):
 def _np_max(a, b):
     """Python ``max(a, b)`` over float64 columns, NaN ordering included."""
     return _np.where(b > a, b, a)
+
+
+#: One object-dtype ufunc per stepwise callable and arity, shared by kernels.
+_ufunc = functools.lru_cache(maxsize=256)(lambda func, arity: _np.frompyfunc(func, arity, 1))
 
 
 #: ``op -> (numpy impl, operand kind, result kind)`` for the native kernels
@@ -355,7 +363,7 @@ class _VectorCompiler:
         # status CONST at every instant, so it never participates in
         # presence conflicts either.
         func = STEPWISE_OPERATIONS[expr.op]
-        kernel = _np.frompyfunc(func, len(expr.args), 1)
+        kernel = _ufunc(func, len(expr.args))
         args: List[Tuple[bool, Any]] = [
             (True, a.value) if isinstance(a, Const) else (False, self.compile(a))
             for a in expr.args
@@ -601,22 +609,6 @@ def _pure_value_expr(expr: Expression) -> bool:
     return False
 
 
-def _ordered_refs(expr: Expression) -> List[str]:
-    """Distinct signal names read by a pure value tree, first-read order."""
-    out: List[str] = []
-
-    def walk(node: Expression) -> None:
-        if isinstance(node, SignalRef):
-            if node.name not in out:
-                out.append(node.name)
-        elif isinstance(node, FunctionApp):
-            for arg in node.args:
-                walk(arg)
-
-    walk(expr)
-    return out
-
-
 def _affine_shape(expr, z_name, y_name, operand_names):
     """Detect the plain-accumulator shapes ``y = z + e`` / ``y = z - e``.
 
@@ -683,10 +675,19 @@ def _compile_value_step(expr: Expression, arg_of: Dict[str, str]):
     params = ", ".join(arg_of[name] for name in arg_of)
     source = f"def _step({params}):\n    return {emit(expr)}\n"
     namespace: Dict[str, Any] = dict(env)
-    exec(compile(source, "<recurrence-step>", "exec"), namespace)
+    exec(_step_code(source), namespace)
     return namespace["_step"]
 
 
+#: Step sources depend only on the tree's shape (values are bound as
+#: globals), so the scheduler's many ``zindex + 1`` counters share one code
+#: object.
+_step_code = functools.lru_cache(maxsize=256)(
+    lambda source: compile(source, "<recurrence-step>", "exec")
+)
+
+
+@dataclass(eq=False)
 class _RecurrenceScan:
     """One promoted delay recurrence: ``z := delay(y); y := f(z, inputs)``.
 
@@ -704,54 +705,27 @@ class _RecurrenceScan:
     snapshot first — still runs the plan's full commit tuple.
     """
 
-    __slots__ = (
-        "y_slot",
-        "z_slot",
-        "state_slot",
-        "mask_slot",
-        "verify_slots",
-        "operand_slots",
-        "step",
-        "affine",
-        "commit_index",
-    )
-
-    def __init__(
-        self,
-        y_slot: int,
-        z_slot: int,
-        state_slot: int,
-        mask_slot: int,
-        verify_slots: Tuple[int, ...],
-        operand_slots: Tuple[int, ...],
-        step,
-        affine,
-        commit_index: int,
-    ) -> None:
-        self.y_slot = y_slot
-        self.z_slot = z_slot
-        self.state_slot = state_slot
-        self.mask_slot = mask_slot
-        self.verify_slots = verify_slots
-        self.operand_slots = operand_slots
-        self.step = step
-        #: ``(sign, operand_index, const)`` when the step is a plain
-        #: ``y = z + e`` / ``y = z - e`` accumulation eligible for the
-        #: ``np.add.accumulate`` fast path; ``None`` otherwise.
-        self.affine = affine
-        #: Index of the pair's delay commit in ``plan._commits`` — dropped
-        #: from the vector path's per-instant finish (see class docstring).
-        self.commit_index = commit_index
+    y_slot: int
+    z_slot: int
+    state_slot: int
+    mask_slot: int
+    verify_slots: Tuple[int, ...]
+    operand_slots: Tuple[int, ...]
+    step: Callable[..., Any]
+    #: ``(sign, operand_index, const)`` when the step is a plain
+    #: ``y = z + e`` / ``y = z - e`` accumulation eligible for the
+    #: ``np.add.accumulate`` fast path; ``None`` otherwise.
+    affine: Optional[Tuple[int, Optional[int], Optional[float]]]
+    #: Index of the pair's delay commit in ``plan._commits`` — dropped
+    #: from the vector path's per-instant finish (see class docstring).
+    commit_index: int
 
     def execute(self, ctx: "_BlockContext", st_block, val_block, state) -> None:
         """Fill the pair's status/value columns for one block."""
         mask = st_block[:, self.mask_slot] == PRESENT
-        for slot in self.verify_slots:
-            if not _np.array_equal(st_block[:, slot] == PRESENT, mask):
-                raise _FallbackBlock("recurrence clock mismatch")
-        for slot in self.operand_slots:
-            if not _np.array_equal(st_block[:, slot] == PRESENT, mask):
-                raise _FallbackBlock("recurrence operand clock mismatch")
+        watched = st_block[:, self.verify_slots + self.operand_slots] == PRESENT
+        if not (watched == mask[:, None]).all():
+            raise _FallbackBlock("recurrence clock mismatch")
         status = _np.where(mask, PRESENT, _ABSENT_ST)
         st_block[:, self.y_slot] = status
         st_block[:, self.z_slot] = status
@@ -832,6 +806,50 @@ class _RecurrenceScan:
                 cur = step(cur)
                 ys.append(cur)
         return ys, zs, None
+
+
+def _peel(order, deps, stall=None):
+    """Yield the nodes of *order*, each after every node in its *deps*.
+
+    The order is exactly that of repeated in-order passes over *order* that
+    each take every node whose dependencies are done, found in linear time:
+    indegree counting (Kahn) with ready nodes keyed by ``(round, pass,
+    position)``.  A dependency outside *order* is done only once
+    ``stall()`` — called whenever nothing is ready — returns it among the
+    nodes it has just resolved, which starts a new round; a stall that
+    resolves nothing ends the peel.  Nodes on a cycle, or waiting on a
+    dependency nothing resolves, are never yielded.
+    """
+    position = {node: index for index, node in enumerate(order)}
+    waiting = {node: len(deps[node]) for node in order}
+    readers: Dict[Any, List[Any]] = {}
+    for node in order:
+        for dep in deps[node]:
+            readers.setdefault(dep, []).append(node)
+    done = set()
+    heap = [(0, 0, position[node], node) for node in order if not waiting[node]]
+    round_ = 0
+
+    def release(dep, pass_, at) -> None:
+        for reader in readers.get(dep, ()):
+            waiting[reader] -= 1
+            if not waiting[reader] and reader not in done:
+                index = position[reader]
+                heapq.heappush(heap, (round_, pass_ + (index < at), index, reader))
+
+    while True:
+        while heap:
+            _round, pass_, index, node = heapq.heappop(heap)
+            done.add(node)
+            yield node
+            release(node, pass_, index)
+        resolved = stall() if stall is not None else ()
+        if not resolved:
+            return
+        round_ += 1
+        done.update(resolved)
+        for node in resolved:
+            release(node, 0, -1)
 
 
 def _signature_unchanged(slots, st, vals, prev_st, prev_vals) -> bool:
@@ -980,36 +998,35 @@ class VectorExecutionPlan:
         # kernels; when the peel stalls, one delay recurrence is promoted
         # into a scan stage (its outputs then count as available, which can
         # unblock further kernels — the "mid" stratum of alarms over
-        # accumulators).  Stage order is a topological order, which is the
-        # block execution order.
+        # accumulators).  Stage order, :func:`_peel`'s, is a topological
+        # order, which is the block execution order.
+        compiler = _VectorCompiler(plan.slot_of)
         promoted: Dict[int, None] = {}
-        stages: List[Tuple[str, Any, Any]] = []
-        progress = True
-        while progress:
-            progress = False
-            changed = True
-            while changed and pending:
-                changed = False
-                for slot in list(pending):
-                    item, expr = pending[slot]
-                    deps = {plan.slot_of[name] for name in free_signals(expr)}
-                    if all(d not in work_slots or d in promoted for d in deps):
-                        promoted[slot] = None
-                        stages.append(("kernel", slot, expr))
-                        del pending[slot]
-                        changed = True
-                        progress = True
-            if scan_recurrences:
-                scan = self._find_recurrence(
-                    plan, grouped, work_by_name, work_slots, promoted
-                )
-                if scan is not None:
-                    promoted[scan.y_slot] = None
-                    promoted[scan.z_slot] = None
-                    pending.pop(scan.y_slot, None)
-                    pending.pop(scan.z_slot, None)
-                    stages.append(("scan", scan, None))
-                    progress = True
+        #: Ordered block stages: ``("kernel", slot, VectorFn)`` columnar
+        #: evaluations interleaved with ``("scan", _RecurrenceScan, None)``
+        #: delay-recurrence scans, in dependency order.
+        self._stages: List[Tuple[str, Any, Any]] = []
+
+        recurrences = self._recurrences(
+            plan, grouped, work_by_name, work_slots, promoted
+        )
+
+        def promote_recurrence() -> Tuple[int, ...]:
+            scan = next(recurrences, None) if scan_recurrences else None
+            if scan is None:
+                return ()
+            promoted[scan.y_slot] = promoted[scan.z_slot] = None
+            pending.pop(scan.y_slot, None)
+            self._stages.append(("scan", scan, None))
+            return scan.y_slot, scan.z_slot
+
+        kernel_deps = {
+            slot: {plan.slot_of[name] for name in free_signals(expr)} & work_slots
+            for slot, (_item, expr) in pending.items()
+        }
+        for slot in _peel(list(pending), kernel_deps, promote_recurrence):
+            promoted[slot] = None
+            self._stages.append(("kernel", slot, compiler.compile(pending.pop(slot)[1])))
 
         # Post-stratum: vectorisable targets that *nothing else observes
         # during the sweep* — not read by any equation outside the stratum
@@ -1025,79 +1042,39 @@ class VectorExecutionPlan:
             sync_slots.update(slots)
         readers: Dict[str, set] = {}
         var_read: set = set()
-
-        def collect_reads(target: str, node: Expression) -> None:
-            if isinstance(node, Var):
-                var_read.add(node.name)
-            elif isinstance(node, SignalRef):
-                readers.setdefault(node.name, set()).add(target)
-            for attr in ("operand", "condition", "left", "right"):
-                child = getattr(node, attr, None)
-                if isinstance(child, Expression):
-                    collect_reads(target, child)
-            for child in getattr(node, "args", ()):
-                collect_reads(target, child)
-
         for eq in process.equations:
-            collect_reads(eq.target, eq.expr)
+            stack = [eq.expr]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, SignalRef):
+                    readers.setdefault(node.name, set()).add(eq.target)
+                elif isinstance(node, Var):
+                    var_read.add(node.name)
+                elif not isinstance(node, Const):
+                    stack.extend(getattr(node, "args", ()))
+                    for attr in ("operand", "condition", "left", "right"):
+                        child = getattr(node, attr, None)
+                        if isinstance(child, Expression):
+                            stack.append(child)
 
-        slot_to_name = {plan.slot_of[name]: name for name in plan.slot_of}
-        post_names: set = set()
         eligible = {
-            slot: (item, expr)
+            item[3].name: (slot, expr)
             for slot, (item, expr) in pending.items()
             if slot not in sync_slots and item[3].name not in var_read
         }
-        changed = True
-        while changed:
-            changed = False
-            for slot, (item, expr) in eligible.items():
-                name = item[3].name
-                if name in post_names:
-                    continue
-                if all(reader in post_names for reader in readers.get(name, ())):
-                    post_names.add(name)
-                    changed = True
-        # Order the post kernels by their dependencies *within* the stratum;
-        # demote stratum-internal cycles (and, transitively, whatever reads
-        # them) back to the residual sweep.
-        post_order: List[Tuple[int, Expression]] = []
-        post_done: set = set()
-        changed = True
-        while changed:
-            changed = False
-            for slot, (item, expr) in eligible.items():
-                name = item[3].name
-                if name not in post_names or name in post_done:
-                    continue
-                deps = set(free_signals(expr))
-                if all(d not in post_names or d in post_done for d in deps):
-                    post_done.add(name)
-                    post_order.append((slot, expr))
-                    changed = True
-        post_names &= post_done
-        changed = True
-        while changed:
-            changed = False
-            for name in list(post_names):
-                if not all(reader in post_names for reader in readers.get(name, ())):
-                    post_names.discard(name)
-                    changed = True
-        post_order = [
-            (slot, expr) for slot, expr in post_order if slot_to_name[slot] in post_names
-        ]
+        # A target joins once all its readers have, so the stratum holds no
+        # cycle (a self-reader never joins); its kernels then run in their
+        # dependency order within the stratum.
+        post_set = set(
+            _peel(list(eligible), {name: readers.get(name, ()) for name in eligible})
+        )
+        post_names = [name for name in eligible if name in post_set]
+        within = {
+            name: post_set.intersection(free_signals(eligible[name][1]))
+            for name in post_names
+        }
+        post_order = [eligible[name] for name in _peel(post_names, within)]
         post_slots = {slot for slot, _ in post_order}
-
-        compiler = _VectorCompiler(plan.slot_of)
-        #: Ordered block stages: ``("kernel", slot, VectorFn)`` columnar
-        #: evaluations interleaved with ``("scan", _RecurrenceScan, None)``
-        #: delay-recurrence scans, in dependency order.
-        self._stages: List[Tuple[str, Any, Any]] = []
-        for kind, payload, expr in stages:
-            if kind == "kernel":
-                self._stages.append(("kernel", payload, compiler.compile(expr)))
-            else:
-                self._stages.append(("scan", payload, None))
         self._post_kernels: List[Tuple[int, VectorFn]] = [
             (slot, compiler.compile(expr)) for slot, expr in post_order
         ]
@@ -1105,22 +1082,15 @@ class VectorExecutionPlan:
         # per-instant commits are dead weight on the vector path; the
         # fallback path (which rewinds the state snapshot) keeps the plan's
         # full commit tuple.
-        suppressed_commits = {
-            payload.commit_index
-            for kind, payload, _ in self._stages
-            if kind == "scan"
-        }
-        if suppressed_commits:
-            self._vector_commits = tuple(
-                commit
-                for index, commit in enumerate(plan._commits)
-                if index not in suppressed_commits
-            )
-        else:
-            self._vector_commits = plan._commits
-        self._vector_slots = set(promoted) | post_slots
+        suppressed = {scan.commit_index for kind, scan, _ in self._stages if kind == "scan"}
+        self._vector_commits = tuple(
+            commit
+            for index, commit in enumerate(plan._commits)
+            if index not in suppressed
+        )
+        vector_slots = set(promoted) | post_slots
         self._residual_work = tuple(
-            item for item in plan._work if item[0] not in self._vector_slots
+            item for item in plan._work if item[0] not in vector_slots
         )
         residual_slots = {item[0] for item in self._residual_work}
         if cluster_residue:
@@ -1151,77 +1121,99 @@ class VectorExecutionPlan:
         self._template_row = _np.array(plan._status_template, dtype=_np.int64)
 
     # ------------------------------------------------------------------
-    def _find_recurrence(self, plan, grouped, work_by_name, work_slots, promoted):
-        """Find one promotable delay recurrence ``z := delay(y); y := f(z, ...)``.
+    @staticmethod
+    def _recurrences(plan, grouped, work_by_name, work_slots, promoted):
+        """Yield promotable delay recurrences ``z := delay(y); y := f(z, ...)``,
+        one per ``next()``, as :class:`_RecurrenceScan` stages.
 
-        Both halves must be declared, single-definition targets not yet
-        promoted; ``f`` must be a pure value expression over ``z`` and
-        block-available operands (and must not read ``y`` itself); and some
-        ``^=`` group containing ``y`` must have a block-available member to
-        serve as the clock mask — without one the reference sweep would
-        deadlock on the pair, a trajectory the scan cannot reproduce.
-        Returns a :class:`_RecurrenceScan` or ``None``.
+        Both halves must be declared, single-definition targets; ``f`` must
+        be a pure value expression over ``z`` and block-available operands
+        (and must not read ``y`` itself), optionally sampled as ``y := f(z,
+        ...) when ^c`` with ``c`` block-available (``c`` then joins the
+        verified slots, so a block where its presence differs from the mask
+        falls back); and some ``^=`` group containing ``y`` must have a
+        block-available member to serve as the clock mask — without one the
+        reference sweep would deadlock on the pair, a trajectory the scan
+        cannot reproduce.  The shapes are checked once; availability, which
+        grows as stages are promoted, at each ``next()``.
         """
 
         def available(slot: int) -> bool:
             return slot not in work_slots or slot in promoted
 
+        shapes = []
         for z_name, (state_slot, _init, y_name) in plan.delay_memories.items():
             z_item = work_by_name.get(z_name)
             y_item = work_by_name.get(y_name)
-            if z_item is None or y_item is None:
-                continue
-            z_slot, y_slot = z_item[0], y_item[0]
-            if z_slot in promoted or y_slot in promoted or z_slot == y_slot:
+            if z_item is None or y_item is None or z_item[0] == y_item[0]:
                 continue
             if not (z_item[1] and y_item[1]):  # both declared
                 continue
             if z_item[2] is None or y_item[2] is None:  # both single-def
                 continue
+            z_slot, y_slot = z_item[0], y_item[0]
             y_expr = grouped[y_name][0]
+            sample: List[int] = []  # the ``c`` of a sampled step
+            if (
+                isinstance(y_expr, When)
+                and isinstance(y_expr.condition, ClockOf)
+                and isinstance(y_expr.condition.operand, SignalRef)
+            ):
+                sample.append(plan.slot_of[y_expr.condition.operand.name])
+                y_expr = y_expr.operand
+                if sample[0] in (y_slot, z_slot):
+                    continue
             if not _pure_value_expr(y_expr):
                 continue
-            refs = _ordered_refs(y_expr)
+            refs = free_signals(y_expr)
             if y_name in refs or z_name not in refs:
                 continue
-            operand_names = [name for name in refs if name != z_name]
-            operand_slots = [plan.slot_of[name] for name in operand_names]
-            if not all(available(slot) for slot in operand_slots):
-                continue
-            # Clock mask + verification slots from the pair's sync groups.
-            mask_slot = None
-            verify: List[int] = []
-            for slots, _names in plan._sync_groups:
-                if y_slot not in slots and z_slot not in slots:
+            operands = [name for name in refs if name != z_name]
+            shapes.append((z_name, y_name, state_slot, y_expr, sample, operands))
+        while True:
+            for index, (z_name, y_name, state_slot, y_expr, sample, operands) in (
+                enumerate(shapes)
+            ):
+                z_slot, y_slot = plan.slot_of[z_name], plan.slot_of[y_name]
+                operand_slots = [plan.slot_of[name] for name in operands]
+                if y_slot in promoted or not all(
+                    available(slot) for slot in operand_slots + sample
+                ):
                     continue
-                for slot in slots:
-                    if slot in (y_slot, z_slot) or not available(slot):
+                # Clock mask + verification slots from the pair's sync groups.
+                mask_slot = None
+                verify: List[int] = []
+                for slots, _names in plan._sync_groups:
+                    has_y = y_slot in slots
+                    if not has_y and z_slot not in slots:
                         continue
-                    verify.append(slot)
-                    if mask_slot is None and y_slot in slots:
-                        mask_slot = slot
-            if mask_slot is None:
-                continue
-            verify_slots = tuple(
-                slot for slot in dict.fromkeys(verify) if slot != mask_slot
-            )
-            affine = _affine_shape(y_expr, z_name, y_name, operand_names)
+                    for slot in slots:
+                        if slot in (y_slot, z_slot) or not available(slot):
+                            continue
+                        verify.append(slot)
+                        if mask_slot is None and has_y:
+                            mask_slot = slot
+                if mask_slot is not None:
+                    break
+            else:
+                return
+            del shapes[index]
             arg_of = {z_name: "_p0"}
-            for index, name in enumerate(operand_names):
-                arg_of[name] = f"_p{index + 1}"
-            step = _compile_value_step(y_expr, arg_of)
-            return _RecurrenceScan(
+            for position, name in enumerate(operands):
+                arg_of[name] = f"_p{position + 1}"
+            yield _RecurrenceScan(
                 y_slot=y_slot,
                 z_slot=z_slot,
                 state_slot=state_slot,
                 mask_slot=mask_slot,
-                verify_slots=verify_slots,
+                verify_slots=tuple(
+                    slot for slot in dict.fromkeys(verify + sample) if slot != mask_slot
+                ),
                 operand_slots=tuple(operand_slots),
-                step=step,
-                affine=affine,
+                step=_compile_value_step(y_expr, arg_of),
+                affine=_affine_shape(y_expr, z_name, y_name, operands),
                 commit_index=plan._delay_commit_index[z_name],
             )
-        return None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -1529,16 +1521,6 @@ class VectorExecutionPlan:
         otherwise.
         """
         st_block, val_block = self._new_block(size)
-        return self._execute_block(
-            st_block, val_block, start, size, driven, state, varmem, strict,
-            residual_work, clusters,
-        )
-
-    def _execute_block(
-        self, st_block, val_block, start, size, driven, state, varmem, strict,
-        residual_work, clusters,
-    ) -> List[List[Any]]:
-        """Body of :meth:`_run_vector_block`, over fresh block arrays."""
         plan = self.plan
         ctx = _BlockContext(st_block, val_block, size)
 

@@ -78,3 +78,26 @@ class TestCommentsAndLocations:
         token = tokenize(";")[0]
         assert token.is_punct(";")
         assert not token.is_punct(":")
+
+
+class TestKeywordMatching:
+    def test_keywords_match_in_any_case(self):
+        token = tokenize("PaCkAgE")[0]
+        assert token.is_keyword("package")
+        assert token.is_keyword("system", "package")
+        assert not token.is_keyword("system")
+        assert token.lowered == "package"
+
+    def test_only_identifiers_are_keywords(self):
+        assert not tokenize('"package"')[0].is_keyword("package")
+        assert not tokenize("42")[0].is_keyword("42")
+
+    def test_catalog_identifiers_answer_their_own_spelling(self):
+        from repro.aadl.printer import render_model
+        from repro.casestudies import catalog_names, load_case_study
+
+        for name in catalog_names():
+            for token in tokenize(render_model(load_case_study(name).load_model())):
+                if token.kind is TokenKind.IDENTIFIER:
+                    assert token.is_keyword("", token.text.lower()), (name, token)
+                    assert not token.is_keyword(token.text.lower() + "_"), (name, token)

@@ -18,6 +18,8 @@ from repro.scheduling.static_scheduler import SchedulingError
 from repro.sig.engine import (
     CompiledBackend,
     VectorizedBackend,
+    compile_vectorized,
+    default_scenario,
     simulate_batch,
 )
 from repro.sig.sinks import MaterializeSink, StatisticsSink
@@ -310,3 +312,22 @@ def test_vectorized_without_knobs_fails_identically(name, translated):
         else:
             outcomes.append(("ok", trace.flows))
     assert outcomes[0] == outcomes[1]
+
+
+def test_producer_consumer_split_promotes_the_scheduler_counters(translated):
+    """The scheduler's sampled counters (``index := (zindex + 1) when
+    ^tick``) are scan stages, so their ``hit``/``deadline`` chains are
+    kernels: at most 96 of the paper model's 395 targets stay residual,
+    and a 256-instant default run never falls back."""
+    flat = translated("producer_consumer").flat_model
+    plan = compile_vectorized(flat)
+    stats = plan.statistics()
+    assert stats.targets == 395
+    assert stats.residual <= 96
+    assert stats.recurrence >= 98
+    scenario = default_scenario(flat, 256)
+    assert plan.run(scenario, strict=False).flows == (
+        CompiledBackend(flat, strict=False).run(scenario).flows
+    )
+    assert plan.fallback_blocks == 0
+    assert plan.vector_blocks == 1

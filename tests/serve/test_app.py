@@ -20,7 +20,7 @@ import pytest
 from repro.aadl.printer import render_model
 from repro.casestudies.catalog import load_case_study
 from repro.serve.server import MAX_BODY_BYTES, ServiceHandler
-from repro.serve.service import ServiceConfig, SimulationService
+from repro.serve.service import ServiceConfig, SimulationService, SimulationStream
 from tests.serve.live import call, connect, request, serving
 
 CASE = "producer_consumer"
@@ -170,6 +170,71 @@ class TestHttpErrors:
             {"scenarios": [{"default": True}], "hyperperiods": 1, "backend": "quantum"},
         )
         assert_error(status, body, "unknown-backend", 422)
+
+
+ROUTES = ("simulate", "simulate/stream")
+
+
+class TestUntypedFaults:
+    """No request drops the connection: a bad default-form scenario is a
+    typed 422, and any exception the service leaves untyped is a 500
+    ``internal`` body, or a terminal ``error`` event once a stream's
+    headers are out.  The server keeps serving afterwards."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("length", [-5, "4", True])
+    def test_bad_default_scenario_length_is_invalid_program(
+        self, server, fingerprint, route, length
+    ):
+        status, body = call(
+            server,
+            "POST",
+            f"/models/{fingerprint}/{route}",
+            {"scenarios": [{"default": True, "length": length}]},
+        )
+        assert_error(status, body, "invalid-program", 422)
+        assert body["error"]["message"].startswith("scenario 0: ")
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_untyped_exception_is_internal_500(
+        self, server, fingerprint, route, monkeypatch
+    ):
+        def explode(self, entry, request):
+            raise RuntimeError("decoder exploded")
+
+        monkeypatch.setattr(SimulationService, "_decode_scenarios", explode)
+        status, body = call(
+            server,
+            "POST",
+            f"/models/{fingerprint}/{route}",
+            {"scenarios": [{"default": True}], "hyperperiods": 1},
+        )
+        assert_error(status, body, "internal", 500)
+        assert "RuntimeError: decoder exploded" in body["error"]["message"]
+        monkeypatch.undo()
+        assert call(server, "GET", "/healthz") == (200, {"ok": True})
+
+    def test_stream_failing_after_its_headers_ends_with_an_error_event(
+        self, server, fingerprint, monkeypatch
+    ):
+        def broken(self):
+            yield {"event": "open"}
+            raise RuntimeError("stream exploded")
+
+        monkeypatch.setattr(SimulationStream, "__iter__", broken)
+        status, headers, raw = request(
+            server,
+            "POST",
+            f"/models/{fingerprint}/simulate/stream",
+            {"scenarios": [{"default": True}], "hyperperiods": 1},
+        )
+        monkeypatch.undo()
+        assert status == 200
+        events = sse_events(raw)
+        assert [event["event"] for event in events] == ["open", "error"]
+        assert events[-1]["error"]["code"] == "internal"
+        assert "RuntimeError: stream exploded" in events[-1]["error"]["message"]
+        assert call(server, "GET", "/stats")[1]["active_simulations"] == 0
 
 
 class TestTransportErrors:

@@ -368,6 +368,7 @@ class TestErrorTaxonomy:
             "bad-request": 400,
             "not-found": 404,
             "method-not-allowed": 405,
+            "internal": 500,
         }
 
     def test_unknown_code_rejected(self):
