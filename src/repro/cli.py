@@ -35,7 +35,7 @@ from .sig.engine import (
     simulate_batch,
 )
 from .sig.printer import to_signal_source
-from .sig.sinks import DeltaSink, StatisticsSink, TraceSink, WindowSink
+from .sig.sinks import SinkSelection, TraceSink, WindowSink
 from .sig.values import ABSENT
 from .sig.vcd import StreamingVcdSink
 
@@ -88,10 +88,20 @@ def _print_plan_stats(model, backend_name) -> None:
         print(f"  {vector.statistics().summary()}")
 
 
-def _stats_sink_factory(index: int) -> StatisticsSink:
-    """One fresh statistics sink per ``--batch`` scenario (picklable, so the
-    sweep can shard over ``--workers`` processes)."""
-    return StatisticsSink()
+def _sink_selection(args: argparse.Namespace) -> SinkSelection:
+    """The result sinks ``simulate --stats/--deltas`` asks for."""
+    return SinkSelection(
+        stats=args.stats,
+        deltas=bool(args.deltas),
+        deltas_watch=_watched(args.deltas) if args.deltas else None,
+    )
+
+
+def _watched(text: str) -> Optional[Tuple[str, ...]]:
+    """The signals of a ``--deltas SIGNALS|all`` flag (``None`` = all)."""
+    if text.strip().lower() == "all":
+        return None
+    return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
 class _AlarmSink(TraceSink):
@@ -272,25 +282,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Streaming sinks observe the simulation instant by instant; with
     # --no-trace nothing else is retained, so memory stays O(signals)
     # however many hyper-periods are simulated.
-    sinks = []
-    stats_sink = None
+    selection = _sink_selection(args)
+    sinks = selection(0)
+    selected = list(sinks)
     alarm_sink = None
     window_sink = None
     if args.stream_vcd:
         sinks.append(StreamingVcdSink(args.stream_vcd, timescale="1 ms"))
-    if args.stats:
-        stats_sink = StatisticsSink()
-        sinks.append(stats_sink)
     if args.window > 0:
         window_sink = WindowSink(args.window)
         sinks.append(window_sink)
-    delta_sink = None
-    if args.deltas:
-        watched = None if args.deltas.strip().lower() == "all" else [
-            name.strip() for name in args.deltas.split(",") if name.strip()
-        ]
-        delta_sink = DeltaSink(watched)
-        sinks.append(delta_sink)
     if args.no_trace:
         # The deadline-alarm report (and exit code) must survive --no-trace.
         alarm_sink = _AlarmSink()
@@ -317,8 +318,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               f"no trace materialised [{result.backend_name} backend]")
     if args.stream_vcd:
         print(f"streaming VCD trace written to {args.stream_vcd}")
-    if stats_sink is not None and stats_sink.result() is not None:
-        print(stats_sink.result().summary(limit=20))
+    results = selection.named([sink.result() for sink in selected])
+    if results.get("stats") is not None:
+        print(results["stats"].summary(limit=20))
     if window_sink is not None and window_sink.result() is not None:
         window = window_sink.result()
         present = sum(
@@ -329,8 +331,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"(from instant {window_sink.start_instant}), "
             f"{present}/{len(window.flows)} signals active in the window"
         )
-    if delta_sink is not None and delta_sink.result() is not None:
-        print(delta_sink.result().summary(limit=20))
+    if results.get("deltas") is not None:
+        print(results["deltas"].summary(limit=20))
     if args.scenario_length:
         # Horizon sweep: ONE unbounded symbolic scenario (O(inputs) memory
         # however long the horizons are), reused at every requested length
@@ -343,14 +345,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"scenario-length sweep over {len(args.scenario_length)} horizon(s) "
               f"[one symbolic scenario, {len(scenario.inputs)} driven signal(s)]")
         for horizon in args.scenario_length:
-            stats = StatisticsSink()
+            (stats,) = SinkSelection(stats=True)(0)
             runner.run(scenario, sinks=[stats], length=horizon)
             streamed = stats.result()
             busiest = max(
-                streamed.per_signal.values(),
-                key=lambda entry: entry.present,
-                default=None,
-            ) if streamed.per_signal else None
+                streamed.per_signal.values(), key=lambda entry: entry.present, default=None
+            )
             top = (
                 f", busiest {busiest.name} present {busiest.present}"
                 if busiest is not None
@@ -376,7 +376,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             workers=args.workers,
             # With --no-trace the sweep streams too: each scenario aggregates
             # into a per-worker statistics sink instead of materialising.
-            sink_factory=_stats_sink_factory if args.no_trace else None,
+            sink_factory=SinkSelection(stats=True) if args.no_trace else None,
             # Supervision knobs; faulted scenarios are reported, not fatal.
             timeout=args.timeout,
             retries=args.retries,
@@ -498,7 +498,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         deltas = None
         if args.deltas:
-            deltas = [name.strip() for name in args.deltas.split(",") if name.strip()]
+            # 'all' watches every recorded signal, as on 'simulate'; the
+            # manifest keeps the explicit list its resume check compares.
+            deltas = _watched(args.deltas)
+            if deltas is None:
+                deltas = tuple(result.flat_model.signals)
         try:
             sweep_result = run_sweep(
                 model,
@@ -643,6 +647,37 @@ def build_parser() -> argparse.ArgumentParser:
             "~/.cache/repro (see 'repro cache' for maintenance)",
         )
 
+    def add_run_flags(p: argparse.ArgumentParser, scope: str) -> None:
+        """The supervision and change-log flags of ``simulate`` and ``sweep run``."""
+        p.add_argument(
+            "--workers", type=_non_negative_int, default=1, metavar="W",
+            help=f"shard {scope} over W worker processes "
+            "(0 = one per core; results are identical to --workers 1)",
+        )
+        p.add_argument(
+            "--timeout", type=_positive_seconds, default=None, metavar="SECONDS",
+            help=f"a wall-clock timeout per scenario attempt of {scope}: hung "
+            "workers are replaced, failed attempts retried, and unrecoverable "
+            "scenarios reported as faults",
+        )
+        p.add_argument(
+            "--retries", type=_non_negative_int, default=None, metavar="N",
+            help=f"retry each failed scenario of {scope} up to N times with "
+            "exponential backoff (default 2)",
+        )
+        p.add_argument(
+            "--max-failures", type=_non_negative_int, default=None, metavar="N",
+            help="circuit breaker: after more than N failed attempts, stop "
+            "retrying and fault the remaining scenarios fast",
+        )
+        p.add_argument(
+            "--deltas", metavar="SIGNALS",
+            help="record a change log watching the comma-separated SIGNALS "
+            "('all' watches every recorded signal): only instants where a "
+            "watched signal changed presence or value are kept — O(changes) "
+            "memory for sparse long-horizon monitoring",
+        )
+
     analyse = sub.add_parser("analyse", help="run the complete tool chain and print every report")
     add_common(analyse)
     analyse.add_argument(
@@ -676,41 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="additionally run N randomised stimulus scenarios through one prepared backend",
     )
-    simulate.add_argument(
-        "--workers",
-        type=_non_negative_int,
-        default=1,
-        metavar="W",
-        help="shard the --batch scenarios over W worker processes "
-        "(0 = one per core; results are identical to --workers 1)",
-    )
-    simulate.add_argument(
-        "--timeout",
-        type=_positive_seconds,
-        default=None,
-        metavar="SECONDS",
-        help="a wall-clock timeout per scenario attempt of the --batch "
-        "sweep: hung workers are replaced, failed attempts retried, and "
-        "unrecoverable scenarios reported as faults instead of wedging the "
-        "sweep",
-    )
-    simulate.add_argument(
-        "--retries",
-        type=_non_negative_int,
-        default=None,
-        metavar="N",
-        help="retry each failed --batch scenario up to N times with "
-        "exponential backoff (default 2)",
-    )
-    simulate.add_argument(
-        "--max-failures",
-        type=_non_negative_int,
-        default=None,
-        metavar="N",
-        help="circuit breaker for the supervised --batch sweep: after more "
-        "than N failed attempts, stop retrying and fault the remaining "
-        "scenarios fast",
-    )
+    add_run_flags(simulate, "the --batch sweep")
     simulate.add_argument(
         "--stream-vcd",
         metavar="PATH",
@@ -740,14 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="retain only the last N instants in a ring-buffer window sink "
         "(combine with --no-trace to debug the end of a long run in "
         "O(signals x N) memory)",
-    )
-    simulate.add_argument(
-        "--deltas",
-        metavar="SIGNALS",
-        help="stream a change-log sink watching the comma-separated SIGNALS "
-        "('all' watches every recorded signal) and print its summary: only "
-        "instants where a watched signal changed presence or value are "
-        "retained — O(changes) memory for sparse long-horizon monitoring",
     )
     simulate.add_argument(
         "--scenario-length",
@@ -835,26 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-period", type=_positive_int, default=12, metavar="N",
         help="largest random stimulus period (default 12)",
     )
-    sweep_run.add_argument(
-        "--workers", type=_non_negative_int, default=1, metavar="W",
-        help="worker processes per partition (0 = one per core)",
-    )
-    sweep_run.add_argument(
-        "--deltas", metavar="SIGNALS",
-        help="also record a change-log table over the comma-separated SIGNALS",
-    )
-    sweep_run.add_argument(
-        "--timeout", type=_positive_seconds, default=None, metavar="SECONDS",
-        help="supervise each partition with a per-scenario wall-clock timeout",
-    )
-    sweep_run.add_argument(
-        "--retries", type=_non_negative_int, default=None, metavar="N",
-        help="retry failed scenarios up to N times (default 2)",
-    )
-    sweep_run.add_argument(
-        "--max-failures", type=_non_negative_int, default=None, metavar="N",
-        help="circuit breaker: stop retrying after N failed attempts",
-    )
+    add_run_flags(sweep_run, "each partition")
     sweep_run.add_argument(
         "--resume", action="store_true",
         help="continue an interrupted sweep from its manifest: completed "

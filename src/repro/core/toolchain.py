@@ -369,24 +369,16 @@ def _run_simulation(result: ToolchainResult, options: ToolchainOptions) -> None:
     length = schedule.simulation_length(options.simulate_hyperperiods)
     scenario = default_scenario(execution_model, None, options.stimuli_periods)
     backend = create_backend(execution_model, backend=options.backend, strict=False)
-    if options.sinks is None and options.materialize_trace:
-        # The classic path: materialise the trace directly.
-        result.trace = backend.run(
-            scenario, record=options.record_signals, length=length
-        )
-    else:
-        # Streaming path: drive the caller's sinks instant by instant,
-        # materialising alongside (via a MaterializeSink) only on request.
-        sinks: List[TraceSink] = list(options.sinks or ())
-        materialize = MaterializeSink() if options.materialize_trace else None
-        if materialize is not None:
-            sinks.append(materialize)
-        backend.run(
-            scenario, record=options.record_signals, sinks=sinks, length=length
-        )
-        if materialize is not None:
-            result.trace = materialize.trace
-        result.sink_results = [sink.result() for sink in options.sinks or ()]
+    # The caller's sinks observe the run instant by instant; a
+    # MaterializeSink keeps the trace alongside them only on request.
+    sinks: List[TraceSink] = list(options.sinks or ())
+    materialize = MaterializeSink() if options.materialize_trace else None
+    if materialize is not None:
+        sinks.append(materialize)
+    backend.run(scenario, record=options.record_signals, sinks=sinks, length=length)
+    if materialize is not None:
+        result.trace = materialize.trace
+    result.sink_results = [sink.result() for sink in options.sinks or ()]
     result.scenario_length = length
     result.backend_name = backend.name
 

@@ -54,6 +54,7 @@ from ..sig.scenario import (
 )
 from ..sig.process import ProcessModel
 from ..sig.simulator import SimulationTrace
+from ..sig.sinks import SinkSelection
 from ..sig.values import ABSENT, Flow, is_absent
 from .errors import invalid_program
 
@@ -383,7 +384,9 @@ class SimulateRequest:
     :meth:`from_payload`, which rejects unknown keys and type errors with
     ``invalid-program`` so clients get a 422 naming the offending field;
     ``fault_plan`` arrives decoded into a
-    :class:`~repro.sig.engine.faults.FaultPlan`.
+    :class:`~repro.sig.engine.faults.FaultPlan`, and ``sinks``,
+    ``deltas_watch`` and ``include_trace`` into one
+    :class:`~repro.sig.sinks.SinkSelection` plus the stream-only ``vcd`` flag.
     """
 
     scenarios: List[Any] = field(default_factory=list)
@@ -399,9 +402,8 @@ class SimulateRequest:
     max_failures: Optional[int] = None
     scenario_budget: Optional[ScenarioBudget] = None
     fault_plan: Optional[FaultPlan] = None
-    include_trace: bool = True
-    sinks: List[str] = field(default_factory=list)
-    deltas_watch: Optional[List[str]] = None
+    selection: SinkSelection = SinkSelection(trace=True)
+    vcd: bool = False
 
     #: Every key a simulate body may carry.
     FIELDS = frozenset(
@@ -472,7 +474,7 @@ class SimulateRequest:
         except (TypeError, ValueError) as exc:
             raise invalid_program(str(exc))
         request.fault_plan = _fault_plan(payload.get("fault_plan"))
-        request.include_trace = _optional_bool(payload, "include_trace", True)
+        trace = _optional_bool(payload, "include_trace", True)
         sinks = payload.get("sinks", [])
         if not isinstance(sinks, Sequence) or isinstance(sinks, str):
             raise invalid_program("'sinks' must be an array of sink names")
@@ -481,8 +483,18 @@ class SimulateRequest:
                 raise invalid_program(
                     f"unknown sink {sink!r}; available: {list(cls.KNOWN_SINKS)}"
                 )
-        request.sinks = list(sinks)
-        request.deltas_watch = _optional_str_list(payload, "deltas_watch")
+        watch = _optional_str_list(payload, "deltas_watch")
+        if watch is not None and "deltas" not in sinks:
+            raise invalid_program(
+                "'deltas_watch' needs the 'deltas' sink; add \"deltas\" to 'sinks'"
+            )
+        request.selection = SinkSelection(
+            stats="stats" in sinks,
+            deltas="deltas" in sinks,
+            deltas_watch=None if watch is None else tuple(watch),
+            trace=trace,
+        )
+        request.vcd = "vcd" in sinks
         return request
 
 

@@ -33,10 +33,10 @@ from ..aadl.parser import parse_string
 from ..core.toolchain import ToolchainOptions, TranslationConfig, run_toolchain
 from ..scheduling.static_scheduler import SchedulingError, SchedulingPolicy
 from ..sig.engine.backends import DEFAULT_BACKEND, create_backend
-from ..sig.engine.batch import BatchResult, simulate_batch
+from ..sig.engine.batch import BatchResult, prepare_batch, simulate_batch
 from ..sig.engine.supervisor import _BatchJob, _supervise_in_process, _Supervision
 from ..sig.scenario import Scenario
-from ..sig.sinks import DeltaSink, MaterializeSink, StatisticsSink, TraceSink
+from ..sig.sinks import SinkSelection, TraceSink
 from ..sig.vcd import StreamingVcdSink
 from .cache import PlanCache, canonical_source, model_fingerprint, source_key
 from .errors import (
@@ -451,41 +451,21 @@ class SimulationService:
         """
         self.requests["simulate"] += 1
         request = self._request(payload)
-        if "vcd" in request.sinks:
+        if request.vcd:
             raise invalid_program(
                 "the 'vcd' sink is stream-only; use POST "
                 "/models/{fp}/simulate/stream"
             )
-        entry = self._entry(fingerprint)
-        scenarios = self._decode_scenarios(entry, request)
-        length = self._resolve_length(entry, request, scenarios)
-        runner = entry.runner_for(
-            request.backend or self.config.default_backend, request.strict
-        )
+        arguments = self._batch_arguments(self._entry(fingerprint), request)
         self._acquire_slot()
         try:
-            result = simulate_batch(
-                entry.system_model,
-                scenarios,
-                record=request.record,
-                collect_errors=True,
-                workers=request.workers,
-                sink_factory=_SinkFactory(request),
-                length=length,
-                timeout=request.timeout,
-                retries=request.retries,
-                backoff=request.backoff,
-                max_failures=request.max_failures,
-                scenario_budget=request.scenario_budget,
-                fault_plan=request.fault_plan,
-                runner=runner,
-            )
+            result = simulate_batch(**arguments)
         except ValueError as exc:
             # Unbounded scenarios without a horizon, bad record lists...
             raise invalid_program(str(exc))
         finally:
             self._release_slot()
-        return self._batch_response(entry, request, result)
+        return self._batch_response(fingerprint, request, result)
 
     def _request(self, payload: Any) -> SimulateRequest:
         """Decode a simulate body (either route) and gate its fault plan."""
@@ -535,6 +515,32 @@ class SimulationService:
                 raise invalid_program(f"scenario {index}: {exc.message}")
         return scenarios
 
+    def _batch_arguments(
+        self, entry: CachedModel, request: SimulateRequest
+    ) -> Dict[str, Any]:
+        """The batch arguments of a request, the same on both routes: its
+        decoded scenarios, horizon, sinks and supervision knobs, run on the
+        entry's resident backend."""
+        scenarios = self._decode_scenarios(entry, request)
+        return dict(
+            process=entry.system_model,
+            scenarios=scenarios,
+            record=request.record,
+            collect_errors=True,
+            workers=request.workers,
+            sink_factory=request.selection,
+            length=self._resolve_length(entry, request, scenarios),
+            timeout=request.timeout,
+            retries=request.retries,
+            backoff=request.backoff,
+            max_failures=request.max_failures,
+            scenario_budget=request.scenario_budget,
+            fault_plan=request.fault_plan,
+            runner=entry.runner_for(
+                request.backend or self.config.default_backend, request.strict
+            ),
+        )
+
     def _resolve_length(
         self,
         entry: CachedModel,
@@ -563,7 +569,7 @@ class SimulationService:
         return None
 
     def _batch_response(
-        self, entry: CachedModel, request: SimulateRequest, result: BatchResult
+        self, fingerprint: str, request: SimulateRequest, result: BatchResult
     ) -> Dict[str, Any]:
         """Render one :class:`BatchResult` as the simulate response body."""
         errors = {index: error for index, error in result.errors}
@@ -576,10 +582,10 @@ class SimulationService:
             elif index in faults:
                 item["fault"] = fault_payload(faults[index])
             else:
-                item.update(_render_sinks(request, result.sink_results[index]))
+                item.update(_render_sinks(request.selection, result.sink_results[index]))
             results.append(item)
         return {
-            "fingerprint": entry.fingerprint,
+            "fingerprint": fingerprint,
             "backend": result.backend,
             "workers": result.workers,
             "scenarios": len(result.traces),
@@ -613,27 +619,10 @@ class SimulationService:
                 "processes use POST /models/{fp}/simulate"
             )
         entry = self._entry(fingerprint)
-        scenarios = self._decode_scenarios(entry, request)
-        job = _BatchJob(
-            entry.runner_for(
-                request.backend or self.config.default_backend, request.strict
-            ),
-            scenarios,
-            record=request.record,
-            sink_factory=_SinkFactory(request),
-            length=self._resolve_length(entry, request, scenarios),
-            timeout=request.timeout,
-            budget=request.scenario_budget,
-            fault_plan=request.fault_plan,
-        )
-        supervisor = _Supervision(
-            count=len(scenarios),
-            collect_errors=True,
-            streaming=True,
-            retries=request.retries,
-            backoff=request.backoff,
-            max_failures=request.max_failures,
-        )
+        try:
+            job, supervisor = prepare_batch(**self._batch_arguments(entry, request))
+        except ValueError as exc:
+            raise invalid_program(str(exc))
         stream = SimulationStream(entry, request, job, supervisor, self._release_slot)
         self._acquire_slot()
         stream.start()
@@ -858,7 +847,7 @@ class SimulationStream:
         attempt = self._supervisor.failures - self._failures_before
         sinks = self._factory(index)
         self._writer = None
-        if "vcd" in self._request.sinks:
+        if self._request.vcd:
             self._writer = _ChunkWriter(
                 lambda chunk: self._put(
                     {"event": "vcd", "scenario": index, "attempt": attempt, "chunk": chunk}
@@ -906,7 +895,7 @@ class SimulationStream:
                     event = {
                         "event": "result",
                         "scenario": index,
-                        **_render_sinks(self._request, payload),
+                        **_render_sinks(self._request.selection, payload),
                     }
                 self._put(event)
             self._put(
@@ -924,47 +913,17 @@ class SimulationStream:
             self._queue.put(None)
 
 
-class _SinkFactory:
-    """The sinks a simulate request asks for, fresh per scenario attempt.
-
-    Built from the request on both routes; it keeps only plain data, so it
-    pickles to ``workers=N`` batches.  Sinks come in a fixed order — stats,
-    deltas, then a materialising sink when the request wants traces — so
-    :func:`_render_sinks` can address their results positionally (the
-    stream appends its own sinks after them).  ``deltas_watch`` follows
-    :class:`~repro.sig.sinks.DeltaSink`: ``None`` watches every recorded
-    signal, ``[]`` none.
-    """
-
-    def __init__(self, request: SimulateRequest) -> None:
-        self.stats = "stats" in request.sinks
-        self.deltas = "deltas" in request.sinks
-        self.deltas_watch = request.deltas_watch
-        self.materialize = request.include_trace
-
-    def __call__(self, index: int) -> List[TraceSink]:
-        """Fresh sinks for scenario *index*, in the fixed rendering order."""
-        sinks: List[TraceSink] = []
-        if self.stats:
-            sinks.append(StatisticsSink())
-        if self.deltas:
-            sinks.append(DeltaSink(self.deltas_watch))
-        if self.materialize:
-            sinks.append(MaterializeSink())
-        return sinks
+#: The JSON encoder of each :class:`~repro.sig.sinks.SinkSelection` result.
+_ENCODERS = {
+    "stats": statistics_to_payload,
+    "deltas": delta_log_to_payload,
+    "trace": trace_to_payload,
+}
 
 
-def _render_sinks(request: SimulateRequest, sink_results: Any) -> Dict[str, Any]:
-    """Render one scenario's sink results by the factory's fixed order."""
-    rendered: Dict[str, Any] = {}
-    results = list(sink_results)
-    position = 0
-    if "stats" in request.sinks:
-        rendered["stats"] = statistics_to_payload(results[position])
-        position += 1
-    if "deltas" in request.sinks:
-        rendered["deltas"] = delta_log_to_payload(results[position])
-        position += 1
-    if request.include_trace:
-        rendered["trace"] = trace_to_payload(results[position])
-    return rendered
+def _render_sinks(selection: SinkSelection, sink_results: Any) -> Dict[str, Any]:
+    """Render one scenario's sink results by name."""
+    return {
+        name: _ENCODERS[name](result)
+        for name, result in selection.named(sink_results).items()
+    }

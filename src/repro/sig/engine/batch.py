@@ -140,6 +140,58 @@ def check_length(length: Optional[int]) -> None:
         raise ValueError(f"simulation length must be non-negative, got {length}")
 
 
+def prepare_batch(
+    process: ProcessModel,
+    scenarios: Sequence[Scenario],
+    record: Optional[Iterable[str]] = None,
+    strict: bool = True,
+    backend: str = DEFAULT_BACKEND,
+    collect_errors: bool = False,
+    workers: int = 1,
+    sink_factory: Optional[SinkFactory] = None,
+    length: Optional[int] = None,
+    timeout: Optional[float] = None,
+    retries: Optional[int] = None,
+    backoff: Optional[float] = None,
+    max_failures: Optional[int] = None,
+    scenario_budget: Any = None,
+    fault_plan: Any = None,
+    runner: Any = None,
+) -> Tuple[_BatchJob, _Supervision]:
+    """Check a batch's values, then build its job and its supervision.
+
+    Takes :func:`simulate_batch`'s arguments and refuses the same values
+    with the same :class:`ValueError`, before the backend is prepared
+    (only when no *runner* is given).  :func:`simulate_batch` runs the
+    pair through the supervisor; the service's stream route drives it
+    scenario by scenario, so both routes check and build one way.
+    """
+    check_length(length)
+    check_supervision(workers, timeout, retries, backoff, max_failures)
+    budget = ScenarioBudget.coerce(scenario_budget)
+    if runner is None:
+        runner = create_backend(process, backend=backend, strict=strict)
+    job = _BatchJob(
+        runner,
+        scenarios,
+        record=list(record) if record is not None else None,
+        sink_factory=sink_factory,
+        length=length,
+        timeout=timeout,
+        budget=budget,
+        fault_plan=fault_plan,
+    )
+    supervision = _Supervision(
+        count=len(scenarios),
+        collect_errors=collect_errors,
+        streaming=sink_factory is not None,
+        retries=retries,
+        backoff=backoff,
+        max_failures=max_failures,
+    )
+    return job, supervision
+
+
 def simulate_batch(
     process: ProcessModel,
     scenarios: Sequence[Scenario],
@@ -214,41 +266,23 @@ def simulate_batch(
     already embodies them); it is also how a batch runs on a backend built
     with its own options, e.g. ``VectorizedBackend(model, block_size=64)``.
     """
-    check_length(length)
-    check_supervision(workers, timeout, retries, backoff, max_failures)
-    budget = ScenarioBudget.coerce(scenario_budget)
     start = time.perf_counter()
-    if runner is None:
-        runner = create_backend(process, backend=backend, strict=strict)
+    job, supervision = prepare_batch(
+        process, scenarios, record=record, strict=strict, backend=backend,
+        collect_errors=collect_errors, workers=workers, sink_factory=sink_factory,
+        length=length, timeout=timeout, retries=retries, backoff=backoff,
+        max_failures=max_failures, scenario_budget=scenario_budget,
+        fault_plan=fault_plan, runner=runner,
+    )
     compiled_at = time.perf_counter()
-
-    count = len(scenarios)
-    effective_workers = min(workers or default_worker_count(), count) or 1
-    job = _BatchJob(
-        runner,
-        scenarios,
-        record=list(record) if record is not None else None,
-        sink_factory=sink_factory,
-        length=length,
-        timeout=timeout,
-        budget=budget,
-        fault_plan=fault_plan,
-    )
-    supervision = _Supervision(
-        count=count,
-        collect_errors=collect_errors,
-        streaming=sink_factory is not None,
-        retries=retries,
-        backoff=backoff,
-        max_failures=max_failures,
-    )
+    effective_workers = min(workers or default_worker_count(), len(scenarios)) or 1
     traces, errors, sink_results, faults = _supervise(
         job, supervision, effective_workers
     )
     done = time.perf_counter()
 
     return BatchResult(
-        backend=runner.name,
+        backend=job.runner.name,
         traces=traces,
         errors=errors,
         compile_seconds=compiled_at - start,
@@ -284,5 +318,6 @@ __all__ = [
     "BatchResult",
     "batch_flow_summary",
     "default_scenario",
+    "prepare_batch",
     "simulate_batch",
 ]

@@ -43,6 +43,10 @@ Five sinks ship with the kernel:
 * :class:`~repro.sig.vcd.StreamingVcdSink` (in :mod:`repro.sig.vcd`) —
   writes the VCD waveform incrementally to disk while the simulation runs.
 
+:class:`SinkSelection` is the one place the result sinks of a simulate
+request (statistics, change log, materialised trace) are built: the CLI,
+both service routes and sweeps take their per-scenario sinks from it.
+
 Sinks plug in everywhere a simulation is launched: ``simulate(...,
 sinks=[...])``, ``backend.run(..., sinks=[...])``, ``simulate_batch(...,
 sink_factory=...)`` (one fresh sink per scenario, worker-safe, results
@@ -675,6 +679,46 @@ class DeltaSink(TraceSink):
         return self._log
 
 
+@dataclass(frozen=True)
+class SinkSelection:
+    """Which result sinks a simulate request wants, fresh per scenario.
+
+    The one sink factory of the CLI, the service routes and sweeps: a
+    picklable per-scenario ``sink_factory`` (it keeps only plain data, so
+    it ships to ``workers=N`` batches) that returns, in the fixed order of
+    :attr:`names`, a :class:`StatisticsSink` (``stats``), a
+    :class:`DeltaSink` over ``deltas_watch`` (``deltas``; ``None`` watches
+    every recorded signal, ``()`` none) and a :class:`MaterializeSink`
+    (``trace``).  :meth:`named` reads a scenario's results back by name.
+    """
+
+    stats: bool = False
+    deltas: bool = False
+    deltas_watch: Optional[Tuple[str, ...]] = None
+    trace: bool = False
+
+    @property
+    def names(self) -> Tuple[str, ...]:
+        """The selected sinks' names, in the order :meth:`__call__` makes them."""
+        return tuple(name for name in ("stats", "deltas", "trace") if getattr(self, name))
+
+    def __call__(self, index: int) -> List[TraceSink]:
+        """Fresh sinks for scenario *index*, in the order of :attr:`names`."""
+        sinks: List[TraceSink] = []
+        if self.stats:
+            sinks.append(StatisticsSink())
+        if self.deltas:
+            sinks.append(DeltaSink(self.deltas_watch))
+        if self.trace:
+            sinks.append(MaterializeSink())
+        return sinks
+
+    def named(self, results: Sequence[Any]) -> Dict[str, Any]:
+        """One scenario's sink results by name (results past the selected
+        sinks — a caller's own appended sinks — are ignored)."""
+        return dict(zip(self.names, results))
+
+
 def presence_summary(signal: str, counts: List[Optional[int]]) -> Dict[str, Any]:
     """Assemble the shared batch-summary dictionary from presence counts.
 
@@ -767,6 +811,7 @@ __all__ = [
     "SignalStatistics",
     "SinkFactory",
     "SinkOrSinks",
+    "SinkSelection",
     "StatisticsSink",
     "TraceHeader",
     "TraceSink",

@@ -10,10 +10,10 @@ of the sweep in memory:
 2. the space is sliced into bounded partitions; each partition builds its
    scenarios lazily (:meth:`~repro.sweep.spaces.ScenarioSpace.batch` is the
    only place more than one scenario object exists), runs them through
-   ``simulate_batch`` in **streaming mode** — every scenario drives a fresh
-   :class:`~repro.sig.sinks.StatisticsSink` (plus a
-   :class:`~repro.sig.sinks.DeltaSink` when ``deltas=`` watches signals)
-   and no trace is ever materialised, in any process;
+   ``simulate_batch`` in **streaming mode** — every scenario drives the
+   fresh sinks of a :class:`~repro.sig.sinks.SinkSelection` (statistics,
+   plus a change log when ``deltas=`` watches signals) and no trace is
+   ever materialised, in any process;
 3. the partition's rows are flushed as JSONL table shards
    (:class:`~repro.sweep.shards.ShardWriter`, atomic rename), the running
    sweep aggregate absorbs the partition's statistics via the documented
@@ -50,7 +50,7 @@ from ..sig.engine.backends import DEFAULT_BACKEND, create_backend
 from ..sig.engine.batch import check_length, simulate_batch
 from ..sig.engine.supervisor import ScenarioBudget, check_supervision
 from ..sig.process import ProcessModel
-from ..sig.sinks import DeltaSink, StatisticsSink, TraceStatistics
+from ..sig.sinks import SinkSelection, TraceStatistics
 from .manifest import (
     MANIFEST_VERSION,
     deserialize_aggregate,
@@ -68,23 +68,6 @@ from .spaces import ScenarioSpace
 #: are renamed into place but *before* the manifest commits them — the
 #: window a crash leaves orphans in, which the resume tests exploit.
 ProgressCallback = Callable[[str, int], None]
-
-
-class _SweepSinks:
-    """Picklable per-scenario sink factory of a sweep partition.
-
-    A top-level class (not a closure) so ``workers > 1`` can pickle it to
-    worker processes: every scenario gets a fresh ``StatisticsSink``, plus
-    a ``DeltaSink`` over the watched signals when the sweep records deltas.
-    """
-
-    def __init__(self, deltas: Optional[Tuple[str, ...]]) -> None:
-        self.deltas = deltas
-
-    def __call__(self, index: int) -> Any:
-        if self.deltas is None:
-            return StatisticsSink()
-        return [StatisticsSink(), DeltaSink(self.deltas)]
 
 
 @dataclass
@@ -331,7 +314,9 @@ def run_sweep(
     if pending:
         runner = create_backend(process, backend=backend, strict=strict)
     result.compile_seconds = time.perf_counter() - started
-    factory = _SweepSinks(deltas_tuple)
+    selection = SinkSelection(
+        stats=True, deltas=deltas_tuple is not None, deltas_watch=deltas_tuple
+    )
     run_started = time.perf_counter()
 
     for index in pending:
@@ -347,7 +332,7 @@ def run_sweep(
             record=record_list,
             collect_errors=True,
             workers=workers,
-            sink_factory=factory,
+            sink_factory=selection,
             length=length,
             timeout=timeout,
             retries=retries,
@@ -367,7 +352,6 @@ def run_sweep(
         for local in range(stop - start):
             scenario_id = start + local
             params = built[local][0]
-            payload = batch.sink_results[local]
             if local in faults:
                 fault = faults[local]
                 result.faults.append(
@@ -397,10 +381,8 @@ def run_sweep(
                     )
                 )
                 continue
-            if deltas_tuple is None:
-                stats, delta_log = payload, None
-            else:
-                stats, delta_log = payload
+            named = selection.named(batch.sink_results[local])
+            stats, delta_log = named["stats"], named.get("deltas")
             warnings = len(stats.warnings)
             partition_warnings += warnings
             scenario_table.append(

@@ -27,6 +27,7 @@ from repro.serve.programs import (
     scenario_to_payload,
     trace_to_payload,
 )
+from repro.sig.sinks import SinkSelection
 from repro.sig.scenario import (
     ConstantRule,
     ExplicitRule,
@@ -187,7 +188,7 @@ class TestSimulateRequest:
         request = SimulateRequest.from_payload({"scenarios": [{"default": True}]})
         assert request.workers == 1
         assert request.strict is True
-        assert request.include_trace is True
+        assert request.selection == SinkSelection(trace=True)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ServeError) as excinfo:
@@ -202,6 +203,29 @@ class TestSimulateRequest:
         with pytest.raises(ServeError) as excinfo:
             SimulateRequest.from_payload({"scenarios": [{}], "sinks": ["parquet"]})
         assert "parquet" in excinfo.value.message
+
+    def test_sinks_decode_into_one_selection(self):
+        request = SimulateRequest.from_payload(
+            {
+                "scenarios": [{}],
+                "sinks": ["deltas", "vcd", "stats"],
+                "deltas_watch": ["tick"],
+                "include_trace": False,
+            }
+        )
+        assert request.selection == SinkSelection(
+            stats=True, deltas=True, deltas_watch=("tick",)
+        )
+        assert request.vcd is True
+
+    @pytest.mark.parametrize("sinks", [[], ["stats"], ["vcd"]])
+    def test_deltas_watch_without_deltas_sink_rejected(self, sinks):
+        with pytest.raises(ServeError) as excinfo:
+            SimulateRequest.from_payload(
+                {"scenarios": [{}], "sinks": sinks, "deltas_watch": ["tick"]}
+            )
+        assert (excinfo.value.code, excinfo.value.status) == ("invalid-program", 422)
+        assert "deltas_watch" in excinfo.value.message
 
     def test_budget_shorthand_and_mapping(self):
         request = SimulateRequest.from_payload(

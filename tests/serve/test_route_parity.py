@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.casestudies.catalog import load_case_study
+from repro.serve.errors import ServeError
 from repro.serve.service import CachedModel, ServiceConfig, SimulationService
 from repro.sig import builder as b
 from repro.sig.expressions import register_stepwise_operation
@@ -113,6 +114,14 @@ class TestRouteParity:
             assert len(watched) > 1
         else:
             assert watched == watch
+
+    def test_deltas_watch_needs_the_deltas_sink(self, service):
+        body = default_body(sinks=["stats"], deltas_watch=["conn_dispProd"])
+        for route in (service.simulate, service.stream_simulate):
+            with pytest.raises(ServeError) as excinfo:
+                route(service.fingerprint, body)
+            assert (excinfo.value.code, excinfo.value.status) == ("invalid-program", 422)
+            assert "deltas_watch" in excinfo.value.message
 
     def test_include_trace(self, service):
         served, streamed = both_routes(service, default_body(2, sinks=["stats"]))

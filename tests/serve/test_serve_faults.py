@@ -19,15 +19,10 @@ import pytest
 from repro.casestudies.catalog import load_case_study
 from repro.serve.errors import ServeError
 from repro.serve.programs import SimulateRequest
-from repro.serve.service import (
-    ServiceConfig,
-    SimulationService,
-    SimulationStream,
-    _SinkFactory,
-)
+from repro.serve.service import ServiceConfig, SimulationService, SimulationStream
 from repro.sig import builder as b
 from repro.sig.engine import create_backend
-from repro.sig.engine.supervisor import _BatchJob, _Supervision
+from repro.sig.engine.batch import prepare_batch
 from repro.sig.expressions import register_stepwise_operation
 from repro.sig.process import ProcessModel
 from repro.sig.scenario import Scenario
@@ -74,19 +69,21 @@ def stream_user_op(op):
     scenario = Scenario(8)
     scenario.set_periodic("x", 1, value=3)
     request = SimulateRequest.from_payload({"scenarios": [{}], "timeout": 30})
+    job, supervisor = prepare_batch(
+        model,
+        [scenario],
+        collect_errors=True,
+        sink_factory=request.selection,
+        timeout=request.timeout,
+        retries=request.retries,
+        backoff=request.backoff,
+        runner=create_backend(model, backend="compiled", strict=False),
+    )
     stream = SimulationStream(
         entry=SimpleNamespace(fingerprint="user-op"),
         request=request,
-        job=_BatchJob(
-            create_backend(model, backend="compiled", strict=False),
-            [scenario],
-            sink_factory=_SinkFactory(request),
-            timeout=request.timeout,
-        ),
-        supervisor=_Supervision(
-            count=1, collect_errors=True, streaming=True,
-            retries=request.retries, backoff=request.backoff, max_failures=None,
-        ),
+        job=job,
+        supervisor=supervisor,
         release=lambda: None,
     )
     stream.start()

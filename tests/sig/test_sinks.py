@@ -16,8 +16,10 @@ from repro.sig.engine.batch import batch_flow_summary
 from repro.sig.process import ProcessModel
 from repro.sig.simulator import ClockViolation, Scenario, Simulator
 from repro.sig.sinks import (
+    DeltaSink,
     MaterializeSink,
     SignalStatistics,
+    SinkSelection,
     StatisticsSink,
     TraceHeader,
     TraceSink,
@@ -357,6 +359,44 @@ class TestBatchStreaming:
         assert [index for index, _ in result.errors] == [0]
         summary = batch_statistics_summary(result.sink_results, "bad")
         assert summary["per_scenario"] == [None, 4]
+
+
+class TestSinkSelection:
+    @pytest.fixture()
+    def scenarios(self):
+        return [Scenario(12).set_periodic("tick", period) for period in (1, 2, 3, 4)]
+
+    def test_fresh_sinks_in_fixed_order(self):
+        selection = SinkSelection(trace=True, deltas=True, stats=True, deltas_watch=("count",))
+        assert selection.names == ("stats", "deltas", "trace")
+        first, second = selection(0), selection(1)
+        assert [type(sink) for sink in first] == [StatisticsSink, DeltaSink, MaterializeSink]
+        assert all(a is not b for a, b in zip(first, second))
+        assert first[1].watch_signals == ("count",)
+        assert SinkSelection()(0) == []
+
+    def test_named_maps_results_by_name(self):
+        assert SinkSelection(stats=True, trace=True).named(["s", "t", "extra"]) == {
+            "stats": "s",
+            "trace": "t",
+        }
+        assert list(SinkSelection(stats=True, deltas=True).named(["s", "d"])) == [
+            "stats",
+            "deltas",
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pickles_to_workers(self, model, scenarios, workers):
+        legacy = simulate_batch(model, scenarios)
+        selection = SinkSelection(stats=True, deltas=True, trace=True)
+        result = simulate_batch(model, scenarios, sink_factory=selection, workers=workers)
+        assert result.workers == workers
+        for payload, reference in zip(result.sink_results, legacy.traces):
+            named = selection.named(payload)
+            assert list(named) == ["stats", "deltas", "trace"]
+            assert named["trace"].flows == reference.flows
+            assert named["stats"].count_present("count") == reference.count_present("count")
+            assert named["deltas"].watched == tuple(reference.flows)
 
 
 class TestToolchainStreaming:

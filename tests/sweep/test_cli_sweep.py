@@ -147,3 +147,53 @@ class TestSweepRunBadInputs:
         assert captured.err.startswith("error: ") and message in captured.err
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
+
+
+class TestSweepRunDeltas:
+    def test_deltas_all_watches_every_recorded_signal(self, model_file, tmp_path):
+        """``sweep run --deltas all`` means what ``simulate --deltas all``
+        means: a change log over every recorded signal, row for row the one
+        a batch with a watch-everything ``SinkSelection`` records."""
+        from repro.cli import _toolchain
+        from repro.sig.engine import simulate_batch
+        from repro.sig.sinks import SinkSelection
+        from repro.sweep import SweepResultStore, stimulus_space
+        from repro.sweep.shards import delta_rows, dumps_json, encode_row
+
+        out = tmp_path / "shards"
+        argv = [
+            "sweep", "run", model_file, "--out", str(out), "--no-cache",
+            "--scenarios", "3", "--partition-size", "2", "--length", "20",
+            "--deltas", "all",
+        ]
+        assert main(argv) == 0
+        store = SweepResultStore(str(out))
+        # The stored (encoded) rows, partition by partition.
+        stored = [
+            json.loads(line)
+            for index in store.partitions()
+            for line in (out / store.manifest["partitions"][str(index)]["files"]["deltas"])
+            .read_text().splitlines()
+        ]
+
+        model = _toolchain(build_parser().parse_args(argv), simulate=False)
+        model = model.translation.system_model
+        space = stimulus_space(model, 3, seed=0, period_range=(2, 12))
+        selection = SinkSelection(stats=True, deltas=True)
+        batch = simulate_batch(
+            model,
+            [space.scenario(i) for i in range(3)],
+            strict=False,
+            sink_factory=selection,
+            length=20,
+        )
+        expected = []
+        for scenario_id, results in enumerate(batch.sink_results):
+            log = selection.named(results)["deltas"]
+            assert len(log.watched) == len(model.flatten().signals)
+            expected.extend(
+                json.loads(dumps_json(encode_row("deltas", row)))
+                for row in delta_rows(scenario_id, log)
+            )
+        assert stored and stored == expected
+        assert store.rows("deltas") == len(expected)
