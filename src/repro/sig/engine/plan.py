@@ -12,15 +12,20 @@ redoes at every instant:
 
 * every signal name is mapped to an **integer slot**; per-instant statuses
   and values are plain Python lists indexed by slot;
-* every equation is compiled into a closure tree mirroring the reference
-  evaluation rules exactly (same statuses, same warning/exception messages),
-  with stepwise operators resolved and constant sub-expressions **folded**
-  at compile time;
-* static clock tests (``when`` over a constant, ``^`` of a constant) are
-  **precomputed** into constant-presence closures;
-* the bare signal operand of ``x $``, ``^x``, ``e when ^x``,
-  ``e default x`` and ``x ^+ y`` is **read inline** from the status/value
-  slots instead of through a closure call;
+* every target is compiled into **one straight-line Python function**: the
+  equation tree is flattened into a *shape* (a prefix tuple of node-kind
+  tokens) plus the values it is parameterised over (signal and state slots,
+  constants, operators), and the shape is turned into source once — every
+  node inlined, each operand's status kept in a local, branches the shape
+  makes impossible pruned — then cached, so the plan's many equations of one
+  shape share one code object and binding an equation is one function
+  construction.  The generated code follows the reference evaluation rules
+  exactly (operand order, laziness, statuses, warning and exception
+  messages); stepwise operators are resolved at compile time (user-registered
+  ones at application time), and pure applications of constants, static
+  clock tests (``when`` over a constant, ``^`` of a constant) are **folded**;
+  a subtree nested deeper than ``_MAX_NESTING`` ``when`` operands or
+  ``default`` right branches is bound as its own generated function;
 * delay and cell memories are allocated **integer state slots** instead of
   path-keyed dictionary entries, and the post-instant memory commit is
   compiled down to the equations that actually own memory (the reference
@@ -30,13 +35,7 @@ redoes at every instant:
   propagation after each sweep — the exact same fixed-point trajectory, so
   traces, warnings and errors are bit-identical by construction (resolution
   order interacts observably with ``^=`` constraint propagation, which is
-  why a reordering "optimisation" is not semantics-preserving).  A ``^=``
-  group whose members are all present or all absent can no longer change
-  or warn, so (when every target is declared) it drops out of the rest of
-  the instant's propagation.  The static dependency graph
-  (:mod:`repro.sig.scheduler_graph`, the same graph the paper uses for code
-  generation) is analysed at compile time to record whether the
-  instantaneous dependencies are acyclic.
+  why a reordering "optimisation" is not semantics-preserving).
 
 The resulting :class:`ExecutionPlan` is immutable with respect to the model:
 one plan can run many scenarios, which is what the batched multi-scenario
@@ -45,8 +44,11 @@ API (:func:`repro.sig.engine.batch.simulate_batch`) builds on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+import builtins
+import functools
+import types
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..expressions import (
     Cell,
@@ -80,6 +82,8 @@ from ..values import ABSENT
 
 # Status codes of the compiled executor.  They correspond one-to-one to the
 # string statuses of the reference interpreter; integers compare faster.
+# Status *slots* only ever hold UNKNOWN, PRESENT, _ABSENT_ST or PRESUMED:
+# CONST is the status of an expression, never of a signal.
 UNKNOWN = 0
 PRESENT = 1
 _ABSENT_ST = 2
@@ -89,11 +93,112 @@ PRESUMED = 4
 #: Sentinel marking a shared-variable memory slot that was never written.
 _NOWRITE = object()
 
-#: Evaluation closure: ``(status, values, state, varmem, instant, warnings,
+#: Evaluation function: ``(status, values, state, varmem, instant, warnings,
 #: strict) -> (status_code, value)``.
 EvalFn = Callable[..., Tuple[int, Any]]
 #: Memory-commit closure: ``(status, values, state, varmem, strict) -> None``.
 CommitFn = Callable[..., None]
+
+#: Built-in operators known to be pure, and therefore safe to fold over
+#: constant operands at compile time (and to vectorise over instant blocks).
+#: User functions registered through
+#: :func:`repro.sig.expressions.register_stepwise_operation` may be stateful,
+#: so they are always applied at run time like the interpreter does.
+PURE_OPERATORS = frozenset(
+    ["+", "-", "*", "/", "%", "neg", "=", "/=", "<", "<=", ">", ">=",
+     "and", "or", "xor", "not", "min", "max", "abs"]
+)
+
+
+def _late_operator(op: str) -> Callable[..., Any]:
+    """A user-registered (or unknown) operator, resolved at application time
+    so late registration and re-registration behave exactly like the
+    reference interpreter."""
+
+    def apply(*args: Any) -> Any:
+        return apply_stepwise(op, list(args))
+
+    return apply
+
+
+def _operator_violation(op: str, instant: int, warnings: List[str], strict: bool) -> None:
+    """Report an operator applied to operands that are not all present."""
+    message = (
+        f"clock violation at instant {instant}: operator {op!r} "
+        "applied to operands that are not all present"
+    )
+    if strict:
+        raise ClockViolation(message)
+    warnings.append(message)
+
+
+def _resolve_multi(
+    present: List[Any], name: str, instant: int, warnings: List[str], strict: bool
+) -> Tuple[int, Any]:
+    """Arbitrate the present values of a multiply-defined target.
+
+    Partial definitions that all resolved: absent when none is present,
+    otherwise the first present value, with a non-determinism report when
+    the present values differ.
+    """
+    if not present:
+        return _ABSENT_ST, ABSENT
+    distinct = {repr(value) for value in present}
+    if len(distinct) > 1:
+        message = (
+            f"non-deterministic definition of {name!r} at instant {instant}: "
+            + ", ".join(sorted(distinct))
+        )
+        if strict:
+            raise NonDeterministicDefinition(message)
+        warnings.append(message)
+    value = present[0]
+    return (_ABSENT_ST if value is ABSENT else PRESENT), value
+
+
+# ----------------------------------------------------------------------
+# shapes: the walk that flattens an equation
+# ----------------------------------------------------------------------
+
+#: Shape tokens with a fixed arity: ``token -> (own parameters, children)``.
+#: ``F<n>`` (a stepwise application of *n* operands; parameters: the
+#: operator callable and its name) and ``M<n>`` (a target with *n* partial
+#: definitions; parameter: the target name) carry their child count.
+_ARITY = {
+    "R": (1, 0),   # signal reference: slot
+    "V": (1, 0),   # shared variable: slot
+    "K": (1, 0),   # constant: value
+    "T": (0, 0),   # static clock test that holds: present, True
+    "A": (0, 0),   # static clock test that fails: absent
+    "D": (2, 1),   # delay: state slot, init; operand
+    "CK": (0, 1),  # ^e
+    "WC": (0, 1),  # when e
+    "W": (0, 2),   # e when c: operand, condition
+    "DF": (0, 2),  # l default r
+    "C": (1, 2),   # cell: state slot; operand, condition
+    "CU": (0, 2),  # ^+
+    "CI": (0, 2),  # ^*
+    "CD": (0, 2),  # ^-
+    "E": (1, 0),   # subtree past the nesting bound: its own evaluator
+}
+#: Token and child fields of the nodes walked generically.
+_STRUCTURE = {
+    When: ("W", ("operand", "condition")),
+    WhenClock: ("WC", ("condition",)),
+    ClockOf: ("CK", ("operand",)),
+    Default: ("DF", ("left", "right")),
+    ClockUnion: ("CU", ("left", "right")),
+    ClockIntersection: ("CI", ("left", "right")),
+    ClockDifference: ("CD", ("left", "right")),
+}
+#: Children that a generated body emits one indentation level deeper than
+#: their parent (inside an ``else:``): a ``when``'s operand and a
+#: ``default``'s right branch.
+_NESTED = {(When, "operand"), (Default, "right")}
+#: Nesting depth past which a subtree is bound as its own generated
+#: evaluator (token ``E``), keeping every body well inside CPython's 100
+#: indentation levels.
+_MAX_NESTING = 32
 
 
 class _Compiler:
@@ -121,198 +226,100 @@ class _Compiler:
         self.state_init.append(initial)
         return len(self.state_init) - 1
 
-    # ------------------------------------------------------------------
-    # expression compilation
-    # ------------------------------------------------------------------
-    def compile(self, expr: Expression) -> Tuple[EvalFn, Optional[CommitFn]]:
-        """Compile *expr* into an evaluation closure plus an optional memory
-        commit closure (``None`` when the subtree owns no delay/cell state)."""
-        if isinstance(expr, SignalRef):
-            s = self.slot(expr.name)
+    def walk(
+        self, expr: Expression, tokens: List[str], params: List[Any], depth: int = 0
+    ) -> Optional[CommitFn]:
+        """Append *expr*'s shape tokens and parameters (prefix order: a node's
+        own parameters, then its children) and return its memory commit
+        (``None`` when the subtree owns no delay/cell state).
 
-            def ev(st, vals, state, varmem, instant, warnings, strict, _s=s):
-                code = st[_s]
-                if code == PRESENT:
-                    return PRESENT, vals[_s]
-                return code, ABSENT
+        Slots and state slots are allocated children first, in operand
+        order — the allocation order of the reference's evaluation — so a
+        node whose own slot must follow its children's reserves a parameter
+        and fills it in afterwards.  *depth* counts the ``_NESTED`` edges
+        above *expr*.
+        """
+        if depth > _MAX_NESTING:
+            sub_tokens: List[str] = []
+            sub_params: List[Any] = []
+            commit = self.walk(expr, sub_tokens, sub_params)
+            tokens.append("E")
+            params.append(_evaluator(tuple(sub_tokens), sub_params, "subexpression"))
+            return commit
+        kind = type(expr)
+        if kind is SignalRef or kind is Var:
+            tokens.append("R" if kind is SignalRef else "V")
+            params.append(self.slot(expr.name))
+            self.uses_varmem = self.uses_varmem or kind is Var
+            return None
+        if kind is Const:
+            tokens.append("K")
+            params.append(expr.value)
+            return None
+        if kind is FunctionApp:
+            return self._walk_function(expr, tokens, params, depth)
+        if kind is Delay or kind is Cell:
+            return self._walk_memory(expr, tokens, params, depth)
+        if kind is WhenClock and type(expr.condition) is Const:
+            # Static clock test: decided at compile time.
+            tokens.append("T" if bool(expr.condition.value) else "A")
+            return None
+        if kind is ClockOf and type(expr.operand) is Const:
+            # The clock of a constant is empty in the reference interpreter.
+            tokens.append("A")
+            return None
+        token, fields = _STRUCTURE.get(kind, (None, ()))
+        if token is None:
+            raise TypeError(f"cannot compile expression of type {kind.__name__}")
+        tokens.append(token)
+        # Commits run in field order (a ``when``'s operand before its
+        # condition), as the reference advances memories.
+        return self._merge_commits([
+            self.walk(getattr(expr, f), tokens, params, depth + ((kind, f) in _NESTED))
+            for f in fields
+        ])
 
-            return ev, None
-
-        if isinstance(expr, Var):
-            s = self.slot(expr.name)
-            self.uses_varmem = True
-
-            def ev(st, vals, state, varmem, instant, warnings, strict, _s=s):
-                code = st[_s]
-                if code == PRESENT:
-                    return PRESENT, vals[_s]
-                if code == UNKNOWN or code == PRESUMED:
-                    return code, ABSENT
-                stored = varmem[_s]
-                if stored is not _NOWRITE:
-                    return CONST, stored
-                return _ABSENT_ST, ABSENT
-
-            return ev, None
-
-        if isinstance(expr, Const):
-            value = expr.value
-
-            def ev(st, vals, state, varmem, instant, warnings, strict, _v=value):
-                return CONST, _v
-
-            return ev, None
-
-        if isinstance(expr, FunctionApp):
-            return self._compile_function(expr)
-
-        if isinstance(expr, Delay):
-            return self._compile_delay(expr)
-
-        if isinstance(expr, When):
-            return self._compile_when(expr)
-
-        if isinstance(expr, WhenClock):
-            return self._compile_when_clock(expr)
-
-        if isinstance(expr, Default):
-            return self._compile_default(expr)
-
-        if isinstance(expr, Cell):
-            return self._compile_cell(expr)
-
-        if isinstance(expr, ClockOf):
-            return self._compile_clock_of(expr)
-
-        if isinstance(expr, (ClockUnion, ClockIntersection, ClockDifference)):
-            return self._compile_clock_binop(expr)
-
-        raise TypeError(f"cannot compile expression of type {type(expr).__name__}")
-
-    #: Built-in operators known to be pure, and therefore safe to fold over
-    #: constant operands at compile time.  User functions registered through
-    #: :func:`repro.sig.expressions.register_stepwise_operation` may be
-    #: stateful, so they are always applied at run time like the interpreter
-    #: does.
-    PURE_OPERATORS = frozenset(
-        ["+", "-", "*", "/", "%", "neg", "=", "/=", "<", "<=", ">", ">=",
-         "and", "or", "xor", "not", "min", "max", "abs"]
-    )
-
-    def _compile_function(self, expr: FunctionApp) -> Tuple[EvalFn, Optional[CommitFn]]:
+    def _walk_function(
+        self, expr: FunctionApp, tokens: List[str], params: List[Any], depth: int
+    ) -> Optional[CommitFn]:
+        op, args = expr.op, expr.args
+        pure = op in PURE_OPERATORS
         # Constant folding: a *pure* stepwise application of constants is a
         # constant.
-        if (
-            expr.op in self.PURE_OPERATORS
-            and expr.args
-            and all(isinstance(a, Const) for a in expr.args)
-        ):
+        if pure and args and all(isinstance(a, Const) for a in args):
             try:
-                folded = apply_stepwise(expr.op, [a.value for a in expr.args])
+                folded = apply_stepwise(op, [a.value for a in args])
             except Exception:
                 pass  # fold failed: fall through and fail at run time, like the interpreter
             else:
-                return self.compile(Const(folded))
+                tokens.append("K")
+                params.append(folded)
+                return None
+        tokens.append(f"F{len(args)}")
+        params.append(STEPWISE_OPERATIONS[op] if pure else _late_operator(op))
+        params.append(op)
+        return self._merge_commits([self.walk(a, tokens, params, depth) for a in args])
 
-        compiled = [self.compile(a) for a in expr.args]
-        subs = tuple(ev for ev, _ in compiled)
-        op = expr.op
-        if op in self.PURE_OPERATORS:
-            func = STEPWISE_OPERATIONS[op]
-        else:
-            # User-registered (or unknown) operator: resolve at application
-            # time so late registration and re-registration behave exactly
-            # like the reference interpreter.
-            def func(*args, _op=op):
-                return apply_stepwise(_op, list(args))
-
-        if len(subs) == 1:
-            sub = subs[0]
-
-            def ev(st, vals, state, varmem, instant, warnings, strict):
-                code, value = sub(st, vals, state, varmem, instant, warnings, strict)
-                if code == PRESENT:
-                    return PRESENT, func(value)
-                if code == _ABSENT_ST:
-                    return _ABSENT_ST, ABSENT
-                if code == CONST:
-                    return CONST, func(value)
-                return UNKNOWN, ABSENT
-
-        elif len(subs) == 2:
-            left, right = subs
-
-            def ev(st, vals, state, varmem, instant, warnings, strict):
-                lc, lv = left(st, vals, state, varmem, instant, warnings, strict)
-                rc, rv = right(st, vals, state, varmem, instant, warnings, strict)
-                if lc == UNKNOWN or lc == PRESUMED or rc == UNKNOWN or rc == PRESUMED:
-                    return UNKNOWN, ABSENT
-                if lc == PRESENT or rc == PRESENT:
-                    if lc == _ABSENT_ST or rc == _ABSENT_ST:
-                        message = (
-                            f"clock violation at instant {instant}: operator {op!r} "
-                            "applied to operands that are not all present"
-                        )
-                        if strict:
-                            raise ClockViolation(message)
-                        warnings.append(message)
-                        return _ABSENT_ST, ABSENT
-                    return PRESENT, func(lv, rv)
-                if lc == _ABSENT_ST or rc == _ABSENT_ST:
-                    return _ABSENT_ST, ABSENT
-                return CONST, func(lv, rv)
-
-        else:
-
-            def ev(st, vals, state, varmem, instant, warnings, strict):
-                results = [sub(st, vals, state, varmem, instant, warnings, strict) for sub in subs]
-                has_unknown = has_present = has_absent = False
-                for code, _ in results:
-                    if code == UNKNOWN or code == PRESUMED:
-                        has_unknown = True
-                    elif code == PRESENT:
-                        has_present = True
-                    elif code == _ABSENT_ST:
-                        has_absent = True
-                if has_unknown:
-                    return UNKNOWN, ABSENT
-                if has_present and has_absent:
-                    message = (
-                        f"clock violation at instant {instant}: operator {op!r} "
-                        "applied to operands that are not all present"
-                    )
-                    if strict:
-                        raise ClockViolation(message)
-                    warnings.append(message)
-                    return _ABSENT_ST, ABSENT
-                if has_present:
-                    return PRESENT, func(*[v for _, v in results])
-                if not has_absent:  # every operand is a constant
-                    return CONST, func(*[v for _, v in results])
-                return _ABSENT_ST, ABSENT
-
-        return ev, self._merge_commits([c for _, c in compiled])
-
-    def _compile_delay(self, expr: Delay) -> Tuple[EvalFn, Optional[CommitFn]]:
-        operand_ev, operand_commit = self.compile(expr.operand)
-        init = expr.init
-        depth = max(1, expr.depth)
-        k = self.state_slot([init] * depth)
+    def _walk_memory(self, expr: Any, tokens: List[str], params: List[Any], depth: int) -> CommitFn:
+        """A delay or a cell.  Its commit reads the operand with the *old*
+        nested state, advances the nested memories, then stores the operand's
+        value when present — so that chained delays shift correctly."""
+        delay = type(expr) is Delay
+        tokens.append("D" if delay else "C")
+        at = len(params)
+        params.extend((None, expr.init) if delay else (None,))
+        start = (len(tokens), len(params))
+        nested = [self.walk(expr.operand, tokens, params, depth)]
+        operand = (tuple(tokens[start[0]:]), params[start[1]:])
+        if not delay:
+            nested.append(self.walk(expr.condition, tokens, params, depth))
+        depth = max(1, expr.depth) if delay else 1
+        k = params[at] = self.state_slot([expr.init] * depth)
         shift = depth > 1
 
-        if isinstance(expr.operand, SignalRef):
-            # ``x $ k``: the operand's status and value are read inline.
+        if delay and type(expr.operand) is SignalRef:
+            # ``x $ k``: the commit reads the operand's slots directly.
             s = self.slot(expr.operand.name)
-
-            def ev_ref(st, vals, state, varmem, instant, warnings, strict, _s=s, _k=k, _init=init):
-                code = st[_s]
-                if code == UNKNOWN:
-                    return UNKNOWN, ABSENT
-                if code == _ABSENT_ST:
-                    return _ABSENT_ST, ABSENT
-                if code == CONST:
-                    return CONST, _init
-                return PRESENT, state[_k][0]
 
             def commit_ref(st, vals, state, varmem, strict, _s=s, _k=k):
                 if st[_s] == PRESENT:
@@ -323,26 +330,15 @@ class _Compiler:
                     else:
                         buffer[0] = vals[_s]
 
-            return ev_ref, commit_ref
+            return commit_ref
 
-        def ev(st, vals, state, varmem, instant, warnings, strict, _k=k, _init=init):
-            code, _ = operand_ev(st, vals, state, varmem, instant, warnings, strict)
-            if code == UNKNOWN:
-                return UNKNOWN, ABSENT
-            if code == _ABSENT_ST:
-                return _ABSENT_ST, ABSENT
-            if code == CONST:
-                return CONST, _init
-            # Present, or presumed present through a clock constraint: the
-            # delay only needs the *presence* of its operand at this instant.
-            return PRESENT, state[_k][0]
+        operand_ev = _evaluator(operand[0], operand[1], "memory_operand")
+        nested_commit = self._merge_commits(nested)
 
         def commit(st, vals, state, varmem, strict, _k=k):
-            # Read the operand with the *old* nested state before recursing,
-            # so that chained delays shift correctly.
             code, value = operand_ev(st, vals, state, varmem, -1, [], strict)
-            if operand_commit is not None:
-                operand_commit(st, vals, state, varmem, strict)
+            if nested_commit is not None:
+                nested_commit(st, vals, state, varmem, strict)
             if code == PRESENT:
                 buffer = state[_k]
                 if shift:
@@ -351,264 +347,7 @@ class _Compiler:
                 else:
                     buffer[0] = value
 
-        return ev, commit
-
-    def _compile_when(self, expr: When) -> Tuple[EvalFn, Optional[CommitFn]]:
-        operand_ev, operand_commit = self.compile(expr.operand)
-        cond = expr.condition
-        if isinstance(cond, ClockOf) and isinstance(cond.operand, SignalRef):
-            # ``e when ^y``: the condition is the presence of ``y``, tested
-            # inline; ``^y`` owns no memory.
-            c = self.slot(cond.operand.name)
-
-            def ev_clock(st, vals, state, varmem, instant, warnings, strict, _c=c):
-                cond_code = st[_c]
-                if cond_code == UNKNOWN:
-                    return UNKNOWN, ABSENT
-                if not (cond_code == PRESENT or cond_code == PRESUMED):
-                    return _ABSENT_ST, ABSENT
-                op_code, op_val = operand_ev(st, vals, state, varmem, instant, warnings, strict)
-                if op_code == UNKNOWN or op_code == PRESUMED:
-                    return op_code, ABSENT
-                if op_code == _ABSENT_ST:
-                    return _ABSENT_ST, ABSENT
-                return PRESENT, op_val
-
-            return ev_clock, operand_commit
-
-        cond_ev, cond_commit = self.compile(cond)
-
-        def ev(st, vals, state, varmem, instant, warnings, strict):
-            cond_code, cond_val = cond_ev(st, vals, state, varmem, instant, warnings, strict)
-            if cond_code == UNKNOWN or cond_code == PRESUMED:
-                return UNKNOWN, ABSENT
-            if cond_code == _ABSENT_ST or not cond_val:
-                return _ABSENT_ST, ABSENT
-            op_code, op_val = operand_ev(st, vals, state, varmem, instant, warnings, strict)
-            if op_code == UNKNOWN or op_code == PRESUMED:
-                return op_code, ABSENT
-            if op_code == _ABSENT_ST:
-                return _ABSENT_ST, ABSENT
-            return PRESENT, op_val
-
-        # The reference walks the operand before the condition when it
-        # advances memories; keep the same order.
-        return ev, self._merge_commits([operand_commit, cond_commit])
-
-    def _compile_when_clock(self, expr: WhenClock) -> Tuple[EvalFn, Optional[CommitFn]]:
-        if isinstance(expr.condition, Const):
-            # Static clock test: precomputed at compile time.
-            if bool(expr.condition.value):
-                def ev_true(st, vals, state, varmem, instant, warnings, strict):
-                    return PRESENT, True
-
-                return ev_true, None
-
-            def ev_false(st, vals, state, varmem, instant, warnings, strict):
-                return _ABSENT_ST, ABSENT
-
-            return ev_false, None
-
-        cond_ev, cond_commit = self.compile(expr.condition)
-
-        def ev(st, vals, state, varmem, instant, warnings, strict):
-            cond_code, cond_val = cond_ev(st, vals, state, varmem, instant, warnings, strict)
-            if cond_code == UNKNOWN or cond_code == PRESUMED:
-                return UNKNOWN, ABSENT
-            if (cond_code == PRESENT or cond_code == CONST) and cond_val:
-                return PRESENT, True
-            return _ABSENT_ST, ABSENT
-
-        return ev, cond_commit
-
-    def _compile_default(self, expr: Default) -> Tuple[EvalFn, Optional[CommitFn]]:
-        left_ev, left_commit = self.compile(expr.left)
-        if isinstance(expr.right, SignalRef):
-            # ``e default x``: the status and value of ``x`` are read inline.
-            r = self.slot(expr.right.name)
-
-            def ev_ref(st, vals, state, varmem, instant, warnings, strict, _r=r):
-                left_code, left_val = left_ev(st, vals, state, varmem, instant, warnings, strict)
-                if left_code == UNKNOWN:
-                    return UNKNOWN, ABSENT
-                if left_code == PRESENT:
-                    return PRESENT, left_val
-                if left_code == PRESUMED:
-                    return PRESUMED, ABSENT
-                right_code = st[_r]
-                if left_code == CONST:
-                    if right_code == UNKNOWN:
-                        return UNKNOWN, ABSENT
-                    if right_code == PRESENT or right_code == CONST:
-                        return right_code, left_val
-                    if right_code == PRESUMED:
-                        return PRESUMED, ABSENT
-                    return CONST, left_val
-                if right_code == PRESENT:
-                    return PRESENT, vals[_r]
-                return right_code, ABSENT
-
-            return ev_ref, left_commit
-
-        right_ev, right_commit = self.compile(expr.right)
-
-        def ev(st, vals, state, varmem, instant, warnings, strict):
-            left_code, left_val = left_ev(st, vals, state, varmem, instant, warnings, strict)
-            if left_code == UNKNOWN:
-                return UNKNOWN, ABSENT
-            if left_code == PRESENT:
-                return PRESENT, left_val
-            if left_code == PRESUMED:
-                return PRESUMED, ABSENT
-            right_code, right_val = right_ev(st, vals, state, varmem, instant, warnings, strict)
-            if left_code == CONST:
-                # A constant left branch adapts to the clock of the right one.
-                if right_code == UNKNOWN:
-                    return UNKNOWN, ABSENT
-                if right_code == PRESENT or right_code == CONST:
-                    return right_code, left_val
-                if right_code == PRESUMED:
-                    return PRESUMED, ABSENT
-                return CONST, left_val
-            return right_code, right_val
-
-        return ev, self._merge_commits([left_commit, right_commit])
-
-    def _compile_cell(self, expr: Cell) -> Tuple[EvalFn, Optional[CommitFn]]:
-        operand_ev, operand_commit = self.compile(expr.operand)
-        cond_ev, cond_commit = self.compile(expr.condition)
-        k = self.state_slot([expr.init])
-
-        def ev(st, vals, state, varmem, instant, warnings, strict, _k=k):
-            op_code, op_val = operand_ev(st, vals, state, varmem, instant, warnings, strict)
-            cond_code, cond_val = cond_ev(st, vals, state, varmem, instant, warnings, strict)
-            if op_code == UNKNOWN or cond_code == UNKNOWN or cond_code == PRESUMED:
-                return UNKNOWN, ABSENT
-            if op_code == PRESUMED:
-                return PRESUMED, ABSENT
-            if op_code == PRESENT:
-                return PRESENT, op_val
-            if (cond_code == PRESENT or cond_code == CONST) and cond_val:
-                return PRESENT, state[_k][0]
-            return _ABSENT_ST, ABSENT
-
-        def commit(st, vals, state, varmem, strict, _k=k):
-            code, value = operand_ev(st, vals, state, varmem, -1, [], strict)
-            if operand_commit is not None:
-                operand_commit(st, vals, state, varmem, strict)
-            if cond_commit is not None:
-                cond_commit(st, vals, state, varmem, strict)
-            if code == PRESENT:
-                state[_k][0] = value
-
-        return ev, commit
-
-    def _compile_clock_of(self, expr: ClockOf) -> Tuple[EvalFn, Optional[CommitFn]]:
-        if isinstance(expr.operand, Const):
-            # The clock of a constant is empty in the reference interpreter.
-            def ev_const(st, vals, state, varmem, instant, warnings, strict):
-                return _ABSENT_ST, ABSENT
-
-            return ev_const, None
-
-        if isinstance(expr.operand, SignalRef):
-            # ``^x``: the status slot is read inline.
-            s = self.slot(expr.operand.name)
-
-            def ev_ref(st, vals, state, varmem, instant, warnings, strict, _s=s):
-                code = st[_s]
-                if code == UNKNOWN:
-                    return UNKNOWN, ABSENT
-                if code == PRESENT or code == PRESUMED:
-                    return PRESENT, True
-                return _ABSENT_ST, ABSENT
-
-            return ev_ref, None
-
-        operand_ev, operand_commit = self.compile(expr.operand)
-
-        def ev(st, vals, state, varmem, instant, warnings, strict):
-            code, _ = operand_ev(st, vals, state, varmem, instant, warnings, strict)
-            if code == UNKNOWN:
-                return UNKNOWN, ABSENT
-            if code == PRESENT or code == PRESUMED:
-                return PRESENT, True
-            return _ABSENT_ST, ABSENT
-
-        return ev, operand_commit
-
-    def _compile_clock_binop(self, expr: Expression) -> Tuple[EvalFn, Optional[CommitFn]]:
-        if (
-            isinstance(expr, ClockUnion)
-            and isinstance(expr.left, SignalRef)
-            and isinstance(expr.right, SignalRef)
-        ):
-            # ``x ^+ y``: both statuses are read inline.
-            l, r = self.slot(expr.left.name), self.slot(expr.right.name)
-
-            def ev_refs(st, vals, state, varmem, instant, warnings, strict, _l=l, _r=r):
-                left_code = st[_l]
-                right_code = st[_r]
-                if (
-                    left_code == PRESENT
-                    or left_code == PRESUMED
-                    or right_code == PRESENT
-                    or right_code == PRESUMED
-                ):
-                    return PRESENT, True
-                if left_code == UNKNOWN or right_code == UNKNOWN:
-                    return UNKNOWN, ABSENT
-                return _ABSENT_ST, ABSENT
-
-            return ev_refs, None
-
-        left_ev, left_commit = self.compile(expr.left)
-        right_ev, right_commit = self.compile(expr.right)
-
-        if isinstance(expr, ClockUnion):
-            def ev(st, vals, state, varmem, instant, warnings, strict):
-                left_code, _ = left_ev(st, vals, state, varmem, instant, warnings, strict)
-                right_code, _ = right_ev(st, vals, state, varmem, instant, warnings, strict)
-                if (
-                    left_code == PRESENT
-                    or left_code == PRESUMED
-                    or right_code == PRESENT
-                    or right_code == PRESUMED
-                ):
-                    return PRESENT, True
-                if left_code == UNKNOWN or right_code == UNKNOWN:
-                    return UNKNOWN, ABSENT
-                return _ABSENT_ST, ABSENT
-
-        elif isinstance(expr, ClockIntersection):
-            def ev(st, vals, state, varmem, instant, warnings, strict):
-                left_code, _ = left_ev(st, vals, state, varmem, instant, warnings, strict)
-                right_code, _ = right_ev(st, vals, state, varmem, instant, warnings, strict)
-                if left_code == _ABSENT_ST or right_code == _ABSENT_ST:
-                    return _ABSENT_ST, ABSENT
-                if left_code == UNKNOWN or right_code == UNKNOWN:
-                    return UNKNOWN, ABSENT
-                if (left_code == PRESENT or left_code == PRESUMED) and (
-                    right_code == PRESENT or right_code == PRESUMED
-                ):
-                    return PRESENT, True
-                return _ABSENT_ST, ABSENT
-
-        else:  # ClockDifference
-            def ev(st, vals, state, varmem, instant, warnings, strict):
-                left_code, _ = left_ev(st, vals, state, varmem, instant, warnings, strict)
-                right_code, _ = right_ev(st, vals, state, varmem, instant, warnings, strict)
-                if left_code == _ABSENT_ST:
-                    return _ABSENT_ST, ABSENT
-                if left_code == UNKNOWN or right_code == UNKNOWN:
-                    return UNKNOWN, ABSENT
-                if (left_code == PRESENT or left_code == PRESUMED) and not (
-                    right_code == PRESENT or right_code == PRESUMED
-                ):
-                    return PRESENT, True
-                return _ABSENT_ST, ABSENT
-
-        return ev, self._merge_commits([left_commit, right_commit])
+        return commit
 
     @staticmethod
     def _merge_commits(commits: Sequence[Optional[CommitFn]]) -> Optional[CommitFn]:
@@ -625,47 +364,567 @@ class _Compiler:
         return merged
 
 
-#: Built-in pure stepwise operators (safe to fold at compile time and to
-#: vectorise over instant blocks); re-exported for the vectorized backend.
-PURE_OPERATORS = _Compiler.PURE_OPERATORS
+def _target_evaluator(name: str, definitions: List[Tuple[List[str], List[Any]]]) -> EvalFn:
+    """One evaluation function for a target and its walked definitions."""
+    if len(definitions) == 1:
+        tokens, params = definitions[0]
+        return _evaluator(tuple(tokens), params, name)
+    shape = [f"M{len(definitions)}"]
+    bound: List[Any] = [name]
+    for tokens, params in definitions:
+        shape.extend(tokens)
+        bound.extend(params)
+    return _evaluator(tuple(shape), bound, name)
+
+
+#: Globals of every generated evaluator.
+_EVAL_GLOBALS: Dict[str, Any] = {
+    "__builtins__": builtins,
+    "ABSENT": ABSENT,
+    "_NOWRITE": _NOWRITE,
+    "_operator_violation": _operator_violation,
+    "_resolve_multi": _resolve_multi,
+}
+
+
+def _evaluator(shape: Tuple[str, ...], params: Sequence[Any], name: str) -> EvalFn:
+    """Bind *params* to the generated function of *shape*."""
+    return types.FunctionType(_shape_code(shape), _EVAL_GLOBALS, name, tuple(params))
+
+
+@functools.lru_cache(maxsize=1024)
+def _shape_code(shape: Tuple[str, ...]) -> types.CodeType:
+    """The code object of *shape*'s evaluator (source generated on a miss)."""
+    namespace: Dict[str, Any] = {}
+    exec(compile(_ShapeSource(shape).source, "<plan-evaluator>", "exec"), namespace)
+    return namespace["_eval"].__code__
+
+
+# ----------------------------------------------------------------------
+# shapes: the generated source
+# ----------------------------------------------------------------------
+#
+# Inside a generated body, a subtree's result is an ``_Out``: the local
+# holding a *raw* status (``None`` when the result is static), the map from
+# each raw value that local can take to the subtree's status, and the Python
+# expression of the subtree's value under PRESENT/CONST.  Signal reads,
+# delays and clocks are *views* — a new status map over their operand's
+# local, with no code of their own — and every other node is an if/elif
+# chain assigning a fresh status local (or returning, at the root).
+#
+# Chains track, per raw local, the values still possible on the current
+# path (``feasible``): a condition that cannot hold is dropped, one that
+# must hold becomes the final ``else``, and what remains is tested on the
+# raw local directly.  Conditions are small trees:
+#   ("t", var, raws)               the raw local ``var`` is one of ``raws``;
+#   ("v", out, codes, negate)      truthiness of ``out``'s value (status in
+#                                  ``codes``), negated when ``negate``;
+#   ("or", parts) / ("and", parts);
+# plus the static ``True``/``False``.
+
+_ANY_STATUS = {UNKNOWN: UNKNOWN, PRESENT: PRESENT, _ABSENT_ST: _ABSENT_ST, PRESUMED: PRESUMED}
+_VALUED = (PRESENT, CONST)
+#: Status maps of the view nodes: a delay is present with its operand
+#: (presumed included) and a constant with a constant; a clock is present
+#: with its operand and absent for a constant.
+_DELAY_MAP = {UNKNOWN: UNKNOWN, PRESENT: PRESENT, PRESUMED: PRESENT, _ABSENT_ST: _ABSENT_ST, CONST: CONST}
+_CLOCK_MAP = {UNKNOWN: UNKNOWN, PRESENT: PRESENT, PRESUMED: PRESENT, _ABSENT_ST: _ABSENT_ST, CONST: _ABSENT_ST}
+
+
+class _Out:
+    __slots__ = ("var", "codes", "values")
+
+    def __init__(self, var: Optional[str], codes: Dict[Any, int], values: Dict[int, str]) -> None:
+        self.var = var
+        self.codes = codes
+        self.values = values
+
+
+def _static(code: int, value: Optional[str] = None) -> _Out:
+    return _Out(None, {None: code}, {code: value} if value is not None else {})
+
+
+def _view(out: _Out, table: Dict[int, int], values: Dict[int, str]) -> _Out:
+    return _Out(out.var, {raw: table[code] for raw, code in out.codes.items()}, values)
+
+
+def _term(out: _Out, codes: Iterable[int]) -> Any:
+    """Condition: the status of *out* is one of *codes*."""
+    codes = frozenset(codes)
+    if out.var is None:
+        return out.codes[None] in codes
+    return ("t", out.var, frozenset(raw for raw, code in out.codes.items() if code in codes))
+
+
+def _value(out: _Out, codes: Iterable[int], feasible: Dict[str, FrozenSet[int]]) -> str:
+    """*out*'s value expression, its status being one of *codes*."""
+    if out.var is None:
+        return out.values[out.codes[None]]
+    live = feasible[out.var]
+    wanted = [c for c in _VALUED if c in codes and any(out.codes[r] == c for r in live)]
+    if not wanted:
+        return "ABSENT"  # only on a path the shape cannot take
+    if len(wanted) == 1 or out.values[wanted[0]] == out.values[wanted[1]]:
+        return out.values[wanted[0]]
+    both = frozenset(r for r in live if out.codes[r] in _VALUED)
+    present = frozenset(r for r in both if out.codes[r] == PRESENT)
+    test = _render(("t", out.var, present), {out.var: both})
+    return f"({out.values[PRESENT]} if {test} else {out.values[CONST]})"
+
+
+def _simplify(cond: Any, feasible: Dict[str, FrozenSet[int]]) -> Any:
+    if cond is True or cond is False:
+        return cond
+    kind = cond[0]
+    if kind == "t":
+        live = feasible[cond[1]]
+        hit = cond[2] & live
+        if not hit:
+            return False
+        return True if hit == live else ("t", cond[1], hit)
+    if kind == "v":
+        if _value(cond[1], cond[2], feasible) == "True":
+            return not cond[3]
+        return cond
+    is_or = kind == "or"
+    parts: List[Any] = []
+    merged: Dict[str, FrozenSet[int]] = {}
+    for part in cond[1]:
+        part = _simplify(part, feasible)
+        if part is is_or:
+            return is_or
+        if part is (not is_or):
+            continue
+        if part[0] == "t":
+            var = part[1]
+            if var in merged:
+                merged[var] = merged[var] | part[2] if is_or else merged[var] & part[2]
+                continue
+            merged[var] = part[2]
+            part = var
+        parts.append(part)
+    result = []
+    for part in parts:
+        if isinstance(part, str):
+            part = _simplify(("t", part, merged[part]), feasible)
+            if part is is_or:
+                return is_or
+            if part is (not is_or):
+                continue
+        result.append(part)
+    if not result:
+        return not is_or
+    return result[0] if len(result) == 1 else (kind, tuple(result))
+
+
+def _render(cond: Any, feasible: Dict[str, FrozenSet[int]]) -> str:
+    kind = cond[0]
+    if kind == "t":
+        var, hit = cond[1], cond[2]
+        miss = feasible[var] - hit
+        if len(hit) == 1:
+            return f"{var} == {next(iter(hit))}"
+        if len(miss) == 1:
+            return f"{var} != {next(iter(miss))}"
+        if len(miss) < len(hit):
+            return f"{var} not in {tuple(sorted(miss))}"
+        return f"{var} in {tuple(sorted(hit))}"
+    if kind == "v":
+        value = _value(cond[1], cond[2], feasible)
+        return f"not {value}" if cond[3] else value
+    return (" or " if kind == "or" else " and ").join(
+        f"({_render(part, feasible)})" if part[0] in ("or", "and") else _render(part, feasible)
+        for part in cond[1]
+    )
+
+
+def _narrow(cond: Any, feasible: Dict[str, FrozenSet[int]], holds: bool) -> Dict[str, FrozenSet[int]]:
+    """*feasible* once *cond* is known to hold (or to fail)."""
+    kind = cond[0]
+    if kind == "t":
+        narrowed = dict(feasible)
+        narrowed[cond[1]] = feasible[cond[1]] & cond[2] if holds else feasible[cond[1]] - cond[2]
+        return narrowed
+    if kind == "v" or (kind == "and") != holds:
+        return feasible
+    # Every conjunct holds, or every disjunct fails.
+    for part in cond[1]:
+        feasible = _narrow(part, feasible, holds)
+    return feasible
+
+
+class _Dest:
+    """Where a chain node's outcomes go: a status local plus a value local
+    (*fixed* maps the statuses whose value is a known expression)."""
+
+    __slots__ = ("code", "value", "fixed", "codes")
+
+    def __init__(self, code: str, value: str, fixed: Dict[int, str]) -> None:
+        self.code = code
+        self.value = value
+        self.fixed = fixed
+        self.codes: set = set()
+
+
+class _ShapeSource:
+    """The source of one shape's evaluator: ``def _eval(st, vals, state,
+    varmem, instant, warnings, strict, _p0, _p1, ...)``."""
+
+    def __init__(self, shape: Tuple[str, ...]) -> None:
+        tokens = iter(shape)
+        count = 0
+
+        def parse() -> Tuple[str, Tuple[str, ...], Tuple[Any, ...]]:
+            nonlocal count
+            token = next(tokens)
+            if token[0] in "FM":
+                kind, own, kids = token[0], (2 if token[0] == "F" else 1), int(token[1:])
+            else:
+                kind, (own, kids) = token, _ARITY[token]
+            params = tuple(f"_p{count + i}" for i in range(own))
+            count += own
+            return kind, params, tuple(parse() for _ in range(kids))
+
+        tree = parse()
+        self.lines = [
+            "def _eval(st, vals, state, varmem, instant, warnings, strict"
+            + "".join(f", _p{i}" for i in range(count)) + "):"
+        ]
+        self.locals = 0
+        self.emit(tree, 1, {}, ret=True)
+        self.source = "\n".join(self.lines) + "\n"
+
+    # -- plumbing -------------------------------------------------------
+    def line(self, indent: int, text: str) -> None:
+        self.lines.append("    " * indent + text)
+
+    def local(self, prefix: str) -> str:
+        self.locals += 1
+        return f"{prefix}{self.locals}"
+
+    def emit(self, node, indent, feasible, ret=False) -> Optional[_Out]:
+        """Emit *node*; return its result, or (``ret``) return it from the
+        generated function on every path."""
+        kind = node[0]
+        if kind in ("R", "V", "K", "T", "A", "D", "CK", "E"):
+            out = getattr(self, "_" + kind)(node, indent, feasible)
+            if not ret:
+                return out
+            branches = [
+                (_term(out, (code,)), self.result(None, code, (out, (code,))))
+                for code in _VALUED
+            ]
+            branches.append((True, self.forward(None, out)))
+            self.chain(indent, feasible, None, branches)
+            return None
+        fixed = {PRESENT: "True"} if kind in ("WC", "CU", "CI", "CD") else {}
+        dest = None if ret else _Dest(self.local("c"), self.local("v"), fixed)
+        getattr(self, "_" + kind)(node, indent, feasible, dest)
+        if dest is None:
+            return None
+        feasible[dest.code] = frozenset(dest.codes)
+        return _Out(
+            dest.code,
+            {code: code for code in dest.codes},
+            {code: fixed.get(code, dest.value) for code in dest.codes if code in _VALUED},
+        )
+
+    def chain(self, indent, feasible, dest, branches) -> None:
+        """Emit ``(condition, action)`` branches as one if/elif/else chain;
+        the last condition is ``True``."""
+        first = True
+        for cond, action in branches:
+            cond = _simplify(cond, feasible)
+            if cond is False:
+                continue
+            if cond is True:
+                if not first:
+                    self.line(indent, "else:")
+                    indent += 1
+                action(indent, feasible)
+                return
+            self.line(indent, f"{'if' if first else 'elif'} {_render(cond, feasible)}:")
+            action(indent + 1, _narrow(cond, feasible, True))
+            feasible = _narrow(cond, feasible, False)
+            first = False
+        raise AssertionError("chain without a final branch")
+
+    def result(self, dest, code, value=None):
+        """Action: the node's status is *code* with *value* (a string, or
+        ``(out, codes)`` for an operand's value)."""
+
+        def act(indent, feasible):
+            text = _value(value[0], value[1], feasible) if isinstance(value, tuple) else value
+            if dest is None:
+                self.line(indent, f"return {code}, {text if code in _VALUED else 'ABSENT'}")
+                return
+            self.line(indent, f"{dest.code} = {code}")
+            dest.codes.add(code)
+            if code in _VALUED and code not in dest.fixed:
+                self.line(indent, f"{dest.value} = {text}")
+
+        return act
+
+    def forward(self, dest, out):
+        """Action: the node takes *out*'s (valueless) status."""
+
+        def act(indent, feasible):
+            live = feasible.get(out.var, frozenset([None]))
+            codes = sorted({out.codes[raw] for raw in live})
+            if len(codes) == 1:
+                self.result(dest, codes[0])(indent, feasible)
+            elif all(out.codes[raw] == raw for raw in live):
+                if dest is None:
+                    self.line(indent, f"return {out.var}, ABSENT")
+                else:
+                    self.line(indent, f"{dest.code} = {out.var}")
+                    dest.codes.update(codes)
+            else:
+                self.chain(indent, feasible, dest, [
+                    (_term(out, (code,)) if code != codes[-1] else True, self.result(dest, code))
+                    for code in codes
+                ])
+
+        return act
+
+    def nested(self, dest, branches):
+        """Action: a further chain (its conditions built on entry)."""
+
+        def act(indent, feasible):
+            self.chain(indent, feasible, dest, branches())
+
+        return act
+
+    # -- views ----------------------------------------------------------
+    def _R(self, node, indent, feasible) -> _Out:
+        slot = node[1][0]
+        code = self.local("c")
+        self.line(indent, f"{code} = st[{slot}]")
+        feasible[code] = frozenset(_ANY_STATUS)
+        return _Out(code, dict(_ANY_STATUS), {PRESENT: f"vals[{slot}]"})
+
+    def _V(self, node, indent, feasible) -> _Out:
+        slot = node[1][0]
+        code, value = self.local("c"), self.local("v")
+        self.line(indent, f"{code} = st[{slot}]")
+        self.line(indent, f"if {code} == {PRESENT}:")
+        self.line(indent + 1, f"{value} = vals[{slot}]")
+        self.line(indent, f"elif {code} == {_ABSENT_ST}:")
+        self.line(indent + 1, f"{value} = varmem[{slot}]")
+        self.line(indent + 1, f"if {value} is not _NOWRITE:")
+        self.line(indent + 2, f"{code} = {CONST}")
+        return self._any(code, value, feasible)
+
+    def _E(self, node, indent, feasible) -> _Out:
+        code, value = self.local("c"), self.local("v")
+        self.line(
+            indent,
+            f"{code}, {value} = {node[1][0]}(st, vals, state, varmem, instant, warnings, strict)",
+        )
+        return self._any(code, value, feasible)
+
+    @staticmethod
+    def _any(code: str, value: str, feasible) -> _Out:
+        """A status local that may hold any status, CONST included."""
+        codes = dict(_ANY_STATUS)
+        codes[CONST] = CONST
+        feasible[code] = frozenset(codes)
+        return _Out(code, codes, {PRESENT: value, CONST: value})
+
+    def _K(self, node, indent, feasible) -> _Out:
+        return _static(CONST, node[1][0])
+
+    def _T(self, node, indent, feasible) -> _Out:
+        return _static(PRESENT, "True")
+
+    def _A(self, node, indent, feasible) -> _Out:
+        return _static(_ABSENT_ST)
+
+    def _D(self, node, indent, feasible) -> _Out:
+        state_slot, init = node[1]
+        operand = self.emit(node[2][0], indent, feasible)
+        return _view(operand, _DELAY_MAP, {PRESENT: f"state[{state_slot}][0]", CONST: init})
+
+    def _CK(self, node, indent, feasible) -> _Out:
+        return _view(self.emit(node[2][0], indent, feasible), _CLOCK_MAP, {PRESENT: "True"})
+
+    # -- chains ---------------------------------------------------------
+    def _F(self, node, indent, feasible, dest) -> None:
+        func, op = node[1]
+        outs = [self.emit(kid, indent, feasible) for kid in node[2]]
+        present = ("or", tuple(_term(out, (PRESENT,)) for out in outs))
+        absent = ("or", tuple(_term(out, (_ABSENT_ST,)) for out in outs))
+
+        def call(code):
+            def act(indent, feasible):
+                args = ", ".join(_value(out, _VALUED, feasible) for out in outs)
+                if dest is None:
+                    self.line(indent, f"return {code}, {func}({args})")
+                    return
+                self.line(indent, f"{dest.value} = {func}({args})")
+                self.line(indent, f"{dest.code} = {code}")
+                dest.codes.add(code)
+
+            return act
+
+        def violation(indent, feasible):
+            self.line(indent, f"_operator_violation({op}, instant, warnings, strict)")
+            self.result(dest, _ABSENT_ST)(indent, feasible)
+
+        self.chain(indent, feasible, dest, [
+            (("or", tuple(_term(out, (UNKNOWN, PRESUMED)) for out in outs)),
+             self.result(dest, UNKNOWN)),
+            (("and", (present, absent)), violation),
+            (present, call(PRESENT)),
+            (absent, self.result(dest, _ABSENT_ST)),
+            (True, call(CONST)),
+        ])
+
+    def _W(self, node, indent, feasible, dest) -> None:
+        operand_node, cond_node = node[2]
+        cond = self.emit(cond_node, indent, feasible)
+
+        def operand(indent, feasible):
+            out = self.emit(operand_node, indent, feasible)
+            self.chain(indent, feasible, dest, [
+                (_term(out, (UNKNOWN, PRESUMED)), self.forward(dest, out)),
+                (_term(out, (_ABSENT_ST,)), self.result(dest, _ABSENT_ST)),
+                (True, self.result(dest, PRESENT, (out, _VALUED))),
+            ])
+
+        self.chain(indent, feasible, dest, [
+            (_term(cond, (UNKNOWN, PRESUMED)), self.result(dest, UNKNOWN)),
+            (_term(cond, (_ABSENT_ST,)), self.result(dest, _ABSENT_ST)),
+            (("v", cond, _VALUED, True), self.result(dest, _ABSENT_ST)),
+            (True, operand),
+        ])
+
+    def _WC(self, node, indent, feasible, dest) -> None:
+        cond = self.emit(node[2][0], indent, feasible)
+        self.chain(indent, feasible, dest, [
+            (_term(cond, (UNKNOWN, PRESUMED)), self.result(dest, UNKNOWN)),
+            (("and", (_term(cond, _VALUED), ("v", cond, _VALUED, False))),
+             self.result(dest, PRESENT, "True")),
+            (True, self.result(dest, _ABSENT_ST)),
+        ])
+
+    def _DF(self, node, indent, feasible, dest) -> None:
+        left_node, right_node = node[2]
+        left = self.emit(left_node, indent, feasible)
+        left_value = (left, (CONST,))
+
+        def right(indent, feasible):
+            out = self.emit(right_node, indent, feasible)
+            # A constant left branch adapts to the clock of the right one.
+            self.chain(indent, feasible, dest, [
+                (_term(left, (CONST,)), self.nested(dest, lambda: [
+                    (_term(out, (UNKNOWN,)), self.result(dest, UNKNOWN)),
+                    (_term(out, (PRESENT,)), self.result(dest, PRESENT, left_value)),
+                    (_term(out, (CONST,)), self.result(dest, CONST, left_value)),
+                    (_term(out, (PRESUMED,)), self.result(dest, PRESUMED)),
+                    (True, self.result(dest, CONST, left_value)),
+                ])),
+                (True, self.nested(dest, lambda: [
+                    (_term(out, (PRESENT,)), self.result(dest, PRESENT, (out, (PRESENT,)))),
+                    (_term(out, (CONST,)), self.result(dest, CONST, (out, (CONST,)))),
+                    (True, self.forward(dest, out)),
+                ])),
+            ])
+
+        self.chain(indent, feasible, dest, [
+            (_term(left, (UNKNOWN,)), self.result(dest, UNKNOWN)),
+            (_term(left, (PRESENT,)), self.result(dest, PRESENT, (left, (PRESENT,)))),
+            (_term(left, (PRESUMED,)), self.result(dest, PRESUMED)),
+            (True, right),
+        ])
+
+    def _C(self, node, indent, feasible, dest) -> None:
+        operand = self.emit(node[2][0], indent, feasible)
+        cond = self.emit(node[2][1], indent, feasible)
+        self.chain(indent, feasible, dest, [
+            (("or", (_term(operand, (UNKNOWN,)), _term(cond, (UNKNOWN, PRESUMED)))),
+             self.result(dest, UNKNOWN)),
+            (_term(operand, (PRESUMED,)), self.result(dest, PRESUMED)),
+            (_term(operand, (PRESENT,)), self.result(dest, PRESENT, (operand, (PRESENT,)))),
+            (("and", (_term(cond, _VALUED), ("v", cond, _VALUED, False))),
+             self.result(dest, PRESENT, f"state[{node[1][0]}][0]")),
+            (True, self.result(dest, _ABSENT_ST)),
+        ])
+
+    def _clock(self, node, indent, feasible, dest) -> None:
+        # ^+, ^* and ^-: both operands first, then their statuses.
+        left = self.emit(node[2][0], indent, feasible)
+        right = self.emit(node[2][1], indent, feasible)
+        occurs = (PRESENT, PRESUMED)
+        present = self.result(dest, PRESENT, "True")
+        absent = self.result(dest, _ABSENT_ST)
+        unknown = (("or", (_term(left, (UNKNOWN,)), _term(right, (UNKNOWN,)))),
+                   self.result(dest, UNKNOWN))
+        branches = {
+            "CU": [(("or", (_term(left, occurs), _term(right, occurs))), present), unknown],
+            "CI": [
+                (("or", (_term(left, (_ABSENT_ST,)), _term(right, (_ABSENT_ST,)))), absent),
+                unknown,
+                (("and", (_term(left, occurs), _term(right, occurs))), present),
+            ],
+            "CD": [
+                (_term(left, (_ABSENT_ST,)), absent),
+                unknown,
+                (("and", (_term(left, occurs), _term(right, (_ABSENT_ST, CONST)))), present),
+            ],
+        }[node[0]]
+        self.chain(indent, feasible, dest, branches + [(True, absent)])
+
+    _CU = _CI = _CD = _clock
+
+    def _M(self, node, indent, feasible, dest) -> None:
+        # Partial definitions, evaluated in order; the first one still
+        # unknown (or presumed) leaves the whole target unresolved.
+        outs = []
+        for kid in node[2]:
+            out = self.emit(kid, indent, feasible)
+            unknown = _simplify(_term(out, (UNKNOWN, PRESUMED)), feasible)
+            if unknown is True:
+                self.line(indent, "return 0, ABSENT")
+                return
+            if unknown is not False:
+                self.line(indent, f"if {_render(unknown, feasible)}:")
+                self.line(indent + 1, "return 0, ABSENT")
+                feasible = _narrow(unknown, feasible, False)
+            outs.append(out)
+        self.line(indent, "present = []")
+        for out in outs:
+            present = _simplify(_term(out, (PRESENT,)), feasible)
+            if present is False:
+                continue
+            append = f"present.append({_value(out, (PRESENT,), feasible)})"
+            if present is True:
+                self.line(indent, append)
+            else:
+                self.line(indent, f"if {_render(present, feasible)}:")
+                self.line(indent + 1, append)
+        self.line(indent, f"return _resolve_multi(present, {node[1][0]}, instant, warnings, strict)")
 
 
 class TargetPlan:
-    """Pre-resolved definition set of one equation target."""
+    """Pre-resolved definition set of one equation target.
 
-    __slots__ = ("name", "slot", "declared", "evaluators")
+    ``evaluate`` is the target's generated evaluation function: for a
+    multiply-defined target (``definitions > 1``) it resolves the partial
+    definitions together and returns UNKNOWN until every one resolved,
+    then the arbitrated present value or absent.
+    """
 
-    def __init__(self, name: str, slot: int, declared: bool, evaluators: List[EvalFn]) -> None:
+    __slots__ = ("name", "slot", "declared", "definitions", "evaluate")
+
+    def __init__(
+        self, name: str, slot: int, declared: bool, definitions: int, evaluate: EvalFn
+    ) -> None:
         self.name = name
         self.slot = slot
         self.declared = declared
-        self.evaluators = evaluators
-
-    def resolve(self, st, vals, state, varmem, instant, warnings, strict) -> Tuple[bool, Any]:
-        """Resolve a multiply-defined target (partial definitions).
-
-        Single-definition targets — the overwhelmingly common case — are
-        inlined in :meth:`ExecutionPlan.run` and never reach this method.
-        """
-        results: List[Tuple[int, Any]] = []
-        for evaluator in self.evaluators:
-            code, value = evaluator(st, vals, state, varmem, instant, warnings, strict)
-            if code == UNKNOWN or code == PRESUMED:
-                return False, ABSENT
-            results.append((code, value))
-        present = [value for code, value in results if code == PRESENT]
-        if not present:
-            return True, ABSENT
-        distinct = {repr(value) for value in present}
-        if len(distinct) > 1:
-            message = (
-                f"non-deterministic definition of {self.name!r} at instant {instant}: "
-                + ", ".join(sorted(distinct))
-            )
-            if strict:
-                raise NonDeterministicDefinition(message)
-            warnings.append(message)
-        return True, present[0]
+        self.definitions = definitions
+        self.evaluate = evaluate
 
 
 @dataclass
@@ -712,15 +971,17 @@ class ExecutionPlan:
             compiler.slot(name)
 
         # Group equations by target in first-appearance order (the reference
-        # interpreter's resolution units), compiling each definition once.
-        grouped: Dict[str, List[EvalFn]] = {}
+        # interpreter's resolution units), walking each definition once.
+        grouped: Dict[str, List[Tuple[List[str], List[Any]]]] = {}
         commits: List[CommitFn] = []
         delay_candidates: Dict[str, Tuple[int, Any, str]] = {}
         delay_commit_candidates: Dict[str, int] = {}
         for eq in process.equations:
             state_base = len(compiler.state_init)
-            evaluator, commit = compiler.compile(eq.expr)
-            grouped.setdefault(eq.target, []).append(evaluator)
+            tokens: List[str] = []
+            params: List[Any] = []
+            commit = compiler.walk(eq.expr, tokens, params)
+            grouped.setdefault(eq.target, []).append((tokens, params))
             compiler.slot(eq.target)
             if commit is not None:
                 commits.append(commit)
@@ -766,14 +1027,16 @@ class ExecutionPlan:
 
         # Resolution follows the reference interpreter's order (first
         # appearance of each target) so the fixed-point trajectory — and with
-        # it every warning and error — is reproduced exactly.  The dependency
-        # graph records whether the instantaneous dependencies are acyclic
-        # (they are for well-formed models, making the sweep converge fast).
-        graph = build_dependency_graph(process, include_clock_edges=False)
-        self.acyclic_dependencies = graph.topological_order() is not None
+        # it every warning and error — is reproduced exactly.
         self.targets: List[TargetPlan] = [
-            TargetPlan(name, compiler.slot(name), name in declared, grouped[name])
-            for name in grouped
+            TargetPlan(
+                name,
+                compiler.slot(name),
+                name in declared,
+                len(definitions),
+                _target_evaluator(name, definitions),
+            )
+            for name, definitions in grouped.items()
         ]
 
         self.names = compiler.names
@@ -802,15 +1065,10 @@ class ExecutionPlan:
         self._status_template = template
 
         # Pre-resolved work items of the per-instant sweep, in resolution
-        # order: (slot, declared, single-definition evaluator or None,
-        # target).  Declared inputs are never resolved (scenario wins).
-        self._work: Tuple[Tuple[int, bool, Optional[EvalFn], TargetPlan], ...] = tuple(
-            (
-                target.slot,
-                target.declared,
-                target.evaluators[0] if len(target.evaluators) == 1 else None,
-                target,
-            )
+        # order: (slot, declared, evaluator, target).  Declared inputs are
+        # never resolved (scenario wins).
+        self._work: Tuple[Tuple[int, bool, EvalFn, TargetPlan], ...] = tuple(
+            (target.slot, target.declared, target.evaluate, target)
             for target in self.targets
             if not (target.declared and target.name in input_names)
         )
@@ -827,6 +1085,16 @@ class ExecutionPlan:
         self.__init__(state["process"])
 
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def acyclic_dependencies(self) -> bool:
+        """Whether the instantaneous dependency graph is acyclic (it is for
+        well-formed models).  Built on first use: the static dependency
+        graph (:mod:`repro.sig.scheduler_graph`, the same graph the paper
+        uses for code generation) is only read by reports, so a compile
+        does not pay for it."""
+        graph = build_dependency_graph(self.process, include_clock_edges=False)
+        return graph.topological_order() is not None
+
     def statistics(self) -> PlanStatistics:
         """Compile-time shape of this plan (slot/target/memory counts)."""
         return PlanStatistics(
@@ -1070,7 +1338,7 @@ class ExecutionPlan:
 
     def _sweep_worklist(
         self, st, vals, state, varmem, instant, warnings, strict, work, groups
-    ) -> List[Tuple[int, bool, Optional[EvalFn], TargetPlan]]:
+    ) -> List[Tuple[int, bool, EvalFn, TargetPlan]]:
         """Run one worklist to its fixed point, propagating only *groups*.
 
         The body of :meth:`_resolve_instant`, parameterised over the ``^=``
@@ -1085,9 +1353,9 @@ class ExecutionPlan:
         progress = True
         while progress:
             progress = False
-            still: List[Tuple[int, bool, Optional[EvalFn], TargetPlan]] = []
+            still: List[Tuple[int, bool, EvalFn, TargetPlan]] = []
             for item in unresolved:
-                slot, is_declared, single, target = item
+                slot, is_declared, evaluate, target = item
                 if is_declared:
                     code = st[slot]
                     if code == PRESENT or code == _ABSENT_ST:
@@ -1095,32 +1363,19 @@ class ExecutionPlan:
                         # but (like the reference) this is not resolution
                         # progress.
                         continue
-                if single is not None:
-                    code, value = single(st, vals, state, varmem, instant, warnings, strict)
-                    if code == UNKNOWN or code == PRESUMED:
-                        still.append(item)
-                        continue
-                    if code == PRESENT:
-                        st[slot] = PRESENT
-                        vals[slot] = value
-                    else:
-                        if code == CONST:
-                            # A lone constant definition has no clock of its
-                            # own; report it once per instant.
-                            warnings.append(bare_constant.format(name=target.name))
-                        st[slot] = _ABSENT_ST
+                code, value = evaluate(st, vals, state, varmem, instant, warnings, strict)
+                if code == UNKNOWN or code == PRESUMED:
+                    still.append(item)
+                    continue
+                if code == PRESENT:
+                    st[slot] = PRESENT
+                    vals[slot] = value
                 else:
-                    resolved, value = target.resolve(
-                        st, vals, state, varmem, instant, warnings, strict
-                    )
-                    if not resolved:
-                        still.append(item)
-                        continue
-                    if value is ABSENT:
-                        st[slot] = _ABSENT_ST
-                    else:
-                        st[slot] = PRESENT
-                        vals[slot] = value
+                    if code == CONST:
+                        # A lone constant definition has no clock of its
+                        # own; report it once per instant.
+                        warnings.append(bare_constant.format(name=target.name))
+                    st[slot] = _ABSENT_ST
                 progress = True
             unresolved = still
             if propagate_sync(st, instant, warnings, strict, groups):
@@ -1145,9 +1400,6 @@ class ExecutionPlan:
                 name for name in self.process.signals if slot_of[name] in blocked_slots
             ]
             raise InstantaneousCycle(instant, blocked)
-
-    def _propagate_sync(self, st, instant, warnings, strict) -> bool:
-        return self._propagate_sync_groups(st, instant, warnings, strict, self._sync_groups)
 
     @staticmethod
     def _propagate_sync_groups(st, instant, warnings, strict, groups) -> bool:

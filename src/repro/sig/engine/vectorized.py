@@ -287,11 +287,11 @@ def _may_be_const(expr: Expression) -> bool:
 class _VectorCompiler:
     """Compile vectorisable expressions into columnar numpy kernels.
 
-    Each kernel mirrors the corresponding closure of
-    :class:`~repro.sig.engine.plan._Compiler` over a whole instant block,
+    Each kernel mirrors the corresponding node of the plan's generated
+    evaluators (:mod:`repro.sig.engine.plan`) over a whole instant block,
     including the exact short-circuit structure (the ``eval_mask``), and
-    raises :class:`_FallbackBlock` whenever the closure would have emitted a
-    warning — the block is then replayed through the pure sweep.
+    raises :class:`_FallbackBlock` whenever the evaluator would have emitted
+    a warning — the block is then replayed through the pure sweep.
 
     Kernels dispatch on the runtime *kind* of their operand columns:
     float64/bool columns (validated scenario inputs, earlier typed results)
@@ -982,8 +982,8 @@ class VectorExecutionPlan:
         work_by_name = {item[3].name: item for item in plan._work}
         pending: Dict[int, Tuple[Any, Expression]] = {}
         for item in plan._work:
-            slot, is_declared, single, target = item
-            if single is None or not is_declared:
+            slot, is_declared, _evaluate, target = item
+            if target.definitions > 1 or not is_declared:
                 # Multi-definition targets need the reference's repr-based
                 # arbitration; undeclared targets are read as absent *until*
                 # they resolve, which makes their resolution order
@@ -1149,7 +1149,7 @@ class VectorExecutionPlan:
                 continue
             if not (z_item[1] and y_item[1]):  # both declared
                 continue
-            if z_item[2] is None or y_item[2] is None:  # both single-def
+            if z_item[3].definitions > 1 or y_item[3].definitions > 1:  # both single-def
                 continue
             z_slot, y_slot = z_item[0], y_item[0]
             y_expr = grouped[y_name][0]
@@ -1284,7 +1284,7 @@ class VectorExecutionPlan:
             groups = groups_of.get(root, [])
             skippable = all(
                 item[1]
-                and item[2] is not None
+                and item[3].definitions == 1
                 and all(
                     _structurally_vectorizable(expr)
                     for expr in grouped[item[3].name]

@@ -88,7 +88,9 @@ def write_manifest(directory: str, manifest: Dict[str, Any]) -> None:
     descriptor, temp_path = tempfile.mkstemp(prefix=".tmp-manifest-", dir=directory)
     try:
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=1, sort_keys=True, default=repr)
+            # Compact ``json.dumps`` runs on the C encoder; ``json.dump`` (and
+            # any ``indent``) fall back to the pure-Python one.
+            handle.write(json.dumps(manifest, sort_keys=True, default=repr))
             handle.write("\n")
         os.replace(temp_path, path)
     except BaseException:

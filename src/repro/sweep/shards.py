@@ -20,10 +20,12 @@ one JSON object per row, one file per (table, partition), streamed line by
 line at read time, so a query holds at most one row of one shard.
 
 Values that may be arbitrary Python objects (signal values, statistics
-ranges, parameter dicts) are carried **wrapped** using the serving layer's
-convention: a present value ``v`` encodes as ``[v]`` and ``ABSENT`` as
-``null``, so a present ``None`` never collides with absence and
-``bool``/``int`` stay distinct through the round trip.
+ranges) are carried **wrapped** using the serving layer's convention: a
+present value ``v`` encodes as ``[v]`` and ``ABSENT`` as ``null``, so
+``bool``/``int`` stay distinct through the round trip.  A ``deltas`` value
+wraps every present value, ``None`` included, so a signal that carries
+``None`` never reads back as absent; a statistics range maps ``None`` (no
+present value) to ``null`` as well.
 :func:`decode_row` returns the exact Python values, which is what the E20
 parity gate (shard query == in-memory reference, bit for bit) leans on.
 
@@ -77,11 +79,17 @@ TABLE_COLUMNS: Dict[str, Tuple[str, ...]] = {
 # ----------------------------------------------------------------------
 def wrap_value(value: Any) -> Optional[List[Any]]:
     """Wrap one possibly-absent value: ``[v]`` when present, ``None`` for
-    ``ABSENT``/``None`` — the serving layer's wire convention, so a present
-    ``None``-like value can never be mistaken for absence."""
+    ``ABSENT``/``None`` — the serving layer's wire convention for a
+    statistics range, whose ``None`` means no present value."""
     if value is ABSENT or value is None:
         return None
     return [value]
+
+
+def _wrap_signal_value(value: Any) -> Optional[List[Any]]:
+    """Wrap one signal value: ``null`` only for ``ABSENT``, ``[v]`` for any
+    present value (``None`` included)."""
+    return None if value is ABSENT else [value]
 
 
 def unwrap_value(wrapped: Any, absent: Any = None) -> Any:
@@ -172,7 +180,7 @@ def encode_row(table: str, row: Mapping[str, Any]) -> Dict[str, Any]:
         encoded["minimum"] = wrap_value(row["minimum"])
         encoded["maximum"] = wrap_value(row["maximum"])
     elif table == "deltas":
-        encoded["value"] = wrap_value(row["value"])
+        encoded["value"] = _wrap_signal_value(row["value"])
     return encoded
 
 

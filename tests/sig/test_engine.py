@@ -145,6 +145,36 @@ class TestPlanLowering:
         trace = plan.run(scenario(2, x=[1, 5]))
         assert trace.present_values("y") == [2, 6]
 
+    @pytest.mark.parametrize("kind", ["when", "default"])
+    def test_deep_nesting_compiles(self, kind):
+        # Each ``when`` operand / ``default`` right branch nests one level
+        # deeper in the generated evaluator; 150 levels exceed CPython's
+        # indentation limit unless deep subtrees get their own evaluators.
+        model = ProcessModel("deep")
+        model.input("a", INTEGER)
+        model.input("c")
+        model.input("d", INTEGER)
+        model.output("y", INTEGER)
+        # The innermost operator sees disagreeing operands at instants 1–3.
+        expr = b.func("+", b.delay(b.ref("a"), init=0), b.ref("d"))
+        for level in range(150):
+            if kind == "when":
+                expr = b.when(expr, b.ref("c"))
+            else:
+                expr = b.default(b.when(b.func("+", b.ref("a"), level), b.ref("c")), expr)
+        model.define("y", expr)
+        sc = scenario(
+            4, a=[1, 2, ABSENT, 4], c=[True, ABSENT, True, True], d=[1, ABSENT, 3, ABSENT]
+        )
+        reference, compiled = assert_same_trace(model, sc, strict=False)
+        assert reference.flows["y"].values[0] is not ABSENT
+        assert compiled.warnings == reference.warnings and reference.warnings
+        with pytest.raises(ClockViolation) as expected:
+            Simulator(model.copy(), strict=True).run(sc)
+        with pytest.raises(ClockViolation) as raised:
+            compile_plan(model.copy()).run(sc, strict=True)
+        assert str(raised.value) == str(expected.value)
+
 
 class TestCompiledSemantics:
     def test_counter_state_pattern(self):

@@ -197,3 +197,27 @@ class TestSweepRunDeltas:
             )
         assert stored and stored == expected
         assert store.rows("deltas") == len(expected)
+
+    def test_deltas_all_keeps_a_present_none(self, model_file, tmp_path):
+        """A timer port's stored flag is present with ``None`` at instant 0;
+        the deltas table must read it back as ``None``, not as absent."""
+        from repro.sig.values import ABSENT
+        from repro.sweep import SweepResultStore
+
+        out = tmp_path / "shards"
+        assert main([
+            "sweep", "run", model_file, "--out", str(out), "--no-cache",
+            "--scenarios", "1", "--length", "4", "--deltas", "all",
+        ]) == 0
+        first = {
+            row["signal"]: row["value"]
+            for row in SweepResultStore(str(out)).query("deltas", where={"instant": 0})
+            if row["signal"].endswith("_pStartTimer_stored")
+        }
+        assert first and all(value is None for value in first.values())
+        later = [
+            row["value"]
+            for row in SweepResultStore(str(out)).query("deltas")
+            if row["signal"].endswith("_pStartTimer_stored") and row["instant"] > 0
+        ]
+        assert ABSENT in later

@@ -163,6 +163,21 @@ class TestJsonlRoundTrip:
         values = [row["value"] for row in iter_shard_rows(path, "deltas")]
         assert values[0] is ABSENT and values[1] == 0
 
+    def test_delta_values_keep_a_present_none(self, tmp_path):
+        log = DeltaLog("p", 5, ("x",), entries=[(0, {"x": None}), (2, {"x": ABSENT})],
+                       change_counts={"x": 2})
+        rows = delta_rows(0, log)
+        assert [encode_row("deltas", row)["value"] for row in rows] == [[None], None]
+        path = _roundtrip(tmp_path, "deltas", rows)
+        values = [row["value"] for row in iter_shard_rows(path, "deltas")]
+        assert values[0] is None and values[1] is ABSENT
+
+    def test_delta_null_still_decodes_to_absent(self):
+        # Shards written before present values were always wrapped stored a
+        # present None as null too; they decode as before.
+        encoded = {"scenario_id": 0, "signal": "x", "instant": 0, "value": None}
+        assert decode_row("deltas", encoded)["value"] is ABSENT
+
     def test_writes_are_atomic(self, tmp_path):
         directory = tmp_path / "jsonl"
         _roundtrip(tmp_path, "scenarios", _sample_rows())
