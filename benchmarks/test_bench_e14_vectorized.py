@@ -8,8 +8,8 @@ alarm comparisons over them (post-stratum) — runs a long scenario through
 both backends, checks bit-identity, and gates the vectorized backend at
 **>= 3x** wall-clock over ``compiled``.  The measurement is persisted as
 ``vectorized_block_e14`` in ``BENCH_e10.json``.  The residue-lowering
-follow-up (recurrence scans, residue clustering) is
-gated separately in ``test_bench_e16_residue_lowering.py``.
+follow-up (recurrence scans) is gated separately in
+``test_bench_e16_residue_lowering.py``.
 """
 
 import math

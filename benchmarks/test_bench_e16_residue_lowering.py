@@ -1,4 +1,4 @@
-"""E16 — lowering the residue: scan kernels + clustering.
+"""E16 — lowering the residue: recurrence scan kernels.
 
 E14 vectorized the stateless strata, but on scheduler-heavy models most
 targets still run in the interpreted per-instant residual sweep — delayed
@@ -6,12 +6,12 @@ job counters above all.  This benchmark extends the E14 generator into a
 **residue-dominated** model: affine delay counters (``cnt = zcnt + s``,
 promoted to ``np.add.accumulate`` prefix scans), the E14 damped
 accumulators (non-affine recurrences, promoted to generated scalar-loop
-scans), cell-based holds (genuinely residual: swept per instant in their
-own clusters), and a thin stateless pipeline for the pre/post strata.
+scans), cell-based holds (genuinely residual: swept per instant), and a
+thin stateless pipeline for the pre/post strata.
 
-Gate: the armed vectorized backend (its defaults, ``scan_recurrences`` +
-``cluster_residue``) must beat the same backend with both disabled — the
-"current vectorized" of E14 — by **>= 3x**
+Gate: the armed vectorized backend (its defaults, ``scan_recurrences`` on)
+must beat the same backend with ``scan_recurrences=False`` — the "current
+vectorized" of E14, running the same residual sweep — by **>= 3x**
 wall-clock, bit-identically, while the residual fraction drops from
 dominant to **< 25%** of targets.  Both fractions are persisted in the
 ``residue_lowering_e16`` extras of ``BENCH_e10.json``.
@@ -57,18 +57,12 @@ def build_residue_model(counters=COUNTERS, holds=HOLDS):
 
 
 def test_bench_e16_residue_lowering(bench_e10):
-    """Acceptance gate: recurrence scans + residue clustering together
-    >= 3x over the flags-off vectorized backend, residual fraction below
-    25%, bit-identical traces."""
+    """Acceptance gate: recurrence scans >= 3x over the scans-off vectorized
+    backend, residual fraction below 25%, bit-identical traces."""
     model = build_residue_model()
     scenario = sensor_scenario(INSTANTS)
 
-    before = VectorizedBackend(
-        model,
-        strict=False,
-        scan_recurrences=False,
-        cluster_residue=False,
-    )
+    before = VectorizedBackend(model, strict=False, scan_recurrences=False)
     before_trace, before_seconds = best_of(lambda: before.run(scenario))
     stats_before = before.vector_plan.statistics()
 
@@ -95,11 +89,10 @@ def test_bench_e16_residue_lowering(bench_e10):
         residue_fraction_before=round(fraction_before, 4),
         residue_fraction_after=round(fraction_after, 4),
         recurrence_targets=stats_after.recurrence,
-        residue_clusters=stats_after.clusters,
     )
     print(
         f"\nE16 — residue model ({model.equation_count()} equations, "
-        f"{INSTANTS} instants): flags-off {before_seconds:.2f}s vs "
+        f"{INSTANTS} instants): scans-off {before_seconds:.2f}s vs "
         f"armed {after_seconds:.2f}s ({speedup:.1f}x); residual "
         f"{stats_before.residual}/{stats_before.targets} "
         f"({fraction_before:.0%}) -> {stats_after.residual}/"

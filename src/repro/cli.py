@@ -71,7 +71,7 @@ def _print_plan_stats(model, backend_name) -> None:
     """Print the execution-plan partition breakdown for ``--plan-stats``.
 
     Shows the compiled plan shape for every backend and the stratum partition
-    (pre-sweep / recurrence / residual clusters / post-sweep) for the
+    (pre-sweep / recurrence / residual / post-sweep) for the
     vectorized backend — the residue composition, without digging through
     benchmark extras.
     """
@@ -730,8 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan-stats",
         action="store_true",
         help="print the execution-plan partition breakdown for the chosen "
-        "backend (vectorized strata incl. recurrence scans and residue "
-        "clusters)",
+        "backend (vectorized strata incl. recurrence scans and the "
+        "residual sweep)",
     )
     simulate.add_argument(
         "--window",

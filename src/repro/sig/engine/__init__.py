@@ -9,8 +9,8 @@ implementations:
 * ``reference`` — the original fixed-point interpreter, kept as the oracle;
 * ``compiled`` — the plan executor (compile once, run many scenarios);
 * ``vectorized`` — numpy kernels over instant blocks for the stateless
-  strata of the plan plus scan kernels for delay recurrences and clustered
-  residual sweeps (:mod:`repro.sig.engine.vectorized`).
+  strata of the plan plus scan kernels for delay recurrences and one
+  per-instant residual sweep (:mod:`repro.sig.engine.vectorized`).
 
 Use :func:`simulate` for a single scenario, :func:`simulate_batch` to run a
 whole batch through one prepared backend (``workers=N`` shards it over

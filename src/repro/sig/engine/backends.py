@@ -14,7 +14,7 @@ that can run :class:`~repro.sig.simulator.Scenario` objects and produce
 * :class:`~repro.sig.engine.vectorized.VectorizedBackend` (registered by
   :mod:`repro.sig.engine.vectorized`) — numpy kernels over instant blocks
   for the stateless strata of the plan, scan kernels for delay
-  recurrences, clustered per-instant sweep for the residue.
+  recurrences, one per-instant sweep for the residue.
 
 All backends produce bit-identical traces and raise the same simulation
 errors; the integration tests ``tests/integration/test_backend_parity.py``
@@ -153,9 +153,9 @@ def create_backend(
 ) -> SimulationBackend:
     """Instantiate the backend registered under *backend* for *process*.
 
-    Backend-specific options (the ``vectorized`` backend's ``block_size``,
-    ``scan_recurrences``, ``cluster_residue``) are set by constructing the
-    backend class directly.
+    Backend-specific options (the ``vectorized`` backend's ``block_size``
+    and ``scan_recurrences``) are set by constructing the backend class
+    directly.
     """
     try:
         factory = BACKENDS[backend]

@@ -1186,6 +1186,7 @@ class ExecutionPlan:
         status_template = self._status_template
         n_slots = len(self.names)
         finish_instant = self._finish_instant
+        sync_groups = self._sync_groups
 
         try:
             # Inside the guarded region: a sink raising in on_header must
@@ -1214,7 +1215,8 @@ class ExecutionPlan:
                     vals[slot] = value
 
                 self._resolve_instant(
-                    st, vals, state, varmem, instant, warnings, strict, base_work
+                    st, vals, state, varmem, instant, warnings, strict, base_work,
+                    sync_groups,
                 )
                 finish_instant(st, vals, state, varmem, strict)
 
@@ -1319,33 +1321,18 @@ class ExecutionPlan:
     )
 
     def _resolve_instant(
-        self, st, vals, state, varmem, instant, warnings, strict, work
+        self, st, vals, state, varmem, instant, warnings, strict, work, groups
     ) -> None:
         """Resolve one instant's statuses and values in place.
 
         Sweeps the *work* targets in the reference interpreter's order,
         keeping only the unresolved ones for the next sweep, with ``^=``
-        clock propagation after each sweep — the same trajectory (and hence
-        the same warnings and errors) as the reference fixed point.  Shared
-        by :meth:`run` and the vectorized backend's residual sweep
-        (:mod:`repro.sig.engine.vectorized`).
-        """
-        unresolved = self._sweep_worklist(
-            st, vals, state, varmem, instant, warnings, strict, work, self._sync_groups
-        )
-        if unresolved:
-            self._raise_blocked(st, unresolved, instant)
-
-    def _sweep_worklist(
-        self, st, vals, state, varmem, instant, warnings, strict, work, groups
-    ) -> List[Tuple[int, bool, EvalFn, TargetPlan]]:
-        """Run one worklist to its fixed point, propagating only *groups*.
-
-        The body of :meth:`_resolve_instant`, parameterised over the ``^=``
-        groups so the vectorized backend's residue *clusters* can sweep an
-        independent sub-worklist with propagation confined to the groups
-        that touch it.  Returns the targets still unresolved at the fixed
-        point (the caller decides whether that is an instantaneous cycle).
+        clock propagation over *groups* after each sweep — the same
+        trajectory (and hence the same warnings and errors) as the
+        reference fixed point.  :meth:`run` passes every group; the
+        vectorized backend's residual sweep
+        (:mod:`repro.sig.engine.vectorized`) passes the groups with a
+        residual member.
         """
         propagate_sync = self._propagate_sync_groups
         bare_constant = self._BARE_CONSTANT
@@ -1380,26 +1367,20 @@ class ExecutionPlan:
             unresolved = still
             if propagate_sync(st, instant, warnings, strict, groups):
                 progress = True
-        return unresolved
-
-    def _raise_blocked(self, st, unresolved, instant) -> None:
-        """Raise :class:`InstantaneousCycle` for still-blocked declared targets.
-
-        Reports unresolved *declared* signals in declaration order, as the
-        reference interpreter's status dictionary does.  No-op when every
-        leftover is undeclared (those stay absent, like the reference).
-        """
-        blocked_slots = {
-            item[0]
-            for item in unresolved
-            if item[1] and st[item[0]] in (UNKNOWN, PRESUMED)
-        }
-        if blocked_slots:
-            slot_of = self.slot_of
-            blocked = [
-                name for name in self.process.signals if slot_of[name] in blocked_slots
-            ]
-            raise InstantaneousCycle(instant, blocked)
+        if unresolved:
+            # Still-blocked *declared* targets are an instantaneous cycle,
+            # reported in declaration order as the reference's status
+            # dictionary does; undeclared leftovers stay absent.
+            blocked = {
+                item[0]
+                for item in unresolved
+                if item[1] and st[item[0]] in (UNKNOWN, PRESUMED)
+            }
+            if blocked:
+                slot_of = self.slot_of
+                raise InstantaneousCycle(instant, [
+                    name for name in self.process.signals if slot_of[name] in blocked
+                ])
 
     @staticmethod
     def _propagate_sync_groups(st, instant, warnings, strict, groups) -> bool:

@@ -32,12 +32,10 @@ and evaluated for a whole **instant block** at once:
   delays, cells, shared variables, multi-definition targets, undeclared
   targets, user-registered operators, instantaneous cycles — and runs
   through the plan's ordinary per-instant sweep, reading the pre-filled
-  vectorised columns.  With ``cluster_residue=True`` (default) the sweep
-  is partitioned into independent **residue clusters** (connected
-  components of the read/synchronisation graph), each swept separately
-  with its own worklist; a stateless cluster whose external inputs are
-  unchanged from the previous instant is **skipped** by copying its
-  previous row;
+  vectorised columns.  The sweep propagates only the ``^=`` groups with a
+  residual member; a group with none is *decided* by the strata, so it is
+  checked once per block and propagated per instant only in a block where
+  its members' presence masks disagree;
 * the **post-sweep stratum** holds vectorisable targets that nothing in
   the residue observes (no readers outside the stratum, no ``^=``
   membership, no shared-variable reads); it runs block-wise after the
@@ -852,63 +850,6 @@ def _peel(order, deps, stall=None):
             release(node, 0, -1)
 
 
-def _signature_unchanged(slots, st, vals, prev_st, prev_vals) -> bool:
-    """Did every watched slot keep its status — and, where present, an
-    equal value of the same type — since the previous instant?
-
-    Type identity guards the ``1 == 1.0`` hazard (repr-observable in trace
-    output); a raising or non-boolean ``==`` conservatively reports a
-    change, which merely costs the skip.
-    """
-    try:
-        for slot in slots:
-            code = st[slot]
-            if code != prev_st[slot]:
-                return False
-            if code == PRESENT:
-                a, b = vals[slot], prev_vals[slot]
-                if a is not b and not (type(a) is type(b) and bool(a == b)):
-                    return False
-    except Exception:
-        return False
-    return True
-
-
-class _ResidueCluster:
-    """One independent partition of the residual sweep.
-
-    Holds the cluster's work items (in plan order), the ``^=`` groups that
-    touch it, and — when every member is a stateless pure-shape definition —
-    the *external* slots whose per-instant ``(status, value)`` signature
-    decides whether the previous instant's resolution can be copied
-    verbatim (the cluster-level skip).
-    """
-
-    __slots__ = ("work", "groups", "target_slots", "skippable", "external_slots")
-
-    def __init__(self, work, groups, target_slots, skippable, external_slots) -> None:
-        self.work = work
-        self.groups = groups
-        self.target_slots = target_slots
-        self.skippable = skippable
-        self.external_slots = external_slots
-
-    def without(self, driven_slots) -> "_ResidueCluster":
-        """A copy with scenario-driven targets removed (scenario wins).
-
-        A driven member's column is scenario-filled, which changes what the
-        cluster's sweep observes, so the skip signature is disabled for the
-        run rather than recomputed.
-        """
-        return _ResidueCluster(
-            tuple(item for item in self.work if item[0] not in driven_slots),
-            self.groups,
-            tuple(slot for slot in self.target_slots if slot not in driven_slots),
-            False,
-            self.external_slots,
-        )
-
-
 @dataclass
 class VectorPlanStatistics:
     """Compile-time shape of a vectorized plan (for reports and tests)."""
@@ -921,18 +862,15 @@ class VectorPlanStatistics:
     residual: int
     block_size: int
     recurrence: int = 0
-    clusters: int = 0
 
     def summary(self) -> str:
         """One line describing the stratum partition."""
-        residue = f"{self.residual} residual"
-        if self.clusters:
-            residue += f" in {self.clusters} cluster(s)"
         return (
             f"vectorized plan: {self.vectorized}/{self.targets} targets in numpy "
             f"strata ({self.pre_stratum} pre-sweep + {self.recurrence} "
-            f"recurrence + {self.post_stratum} post-sweep), {residue}, blocks "
-            f"of {self.block_size} instants over {self.signals} signal slots"
+            f"recurrence + {self.post_stratum} post-sweep), {self.residual} "
+            f"residual, blocks of {self.block_size} instants over "
+            f"{self.signals} signal slots"
         )
 
 
@@ -955,19 +893,14 @@ class VectorExecutionPlan:
         plan: ExecutionPlan,
         block_size: int = DEFAULT_BLOCK_SIZE,
         scan_recurrences: bool = True,
-        cluster_residue: bool = True,
     ) -> None:
         self.plan = plan
         self.block_size = max(1, int(block_size))
         self.scan_recurrences = scan_recurrences
-        self.cluster_residue = cluster_residue
         #: Blocks executed through the numpy strata / replayed through the
         #: pure sweep, across every run of this plan (for tests and reports).
         self.vector_blocks = 0
         self.fallback_blocks = 0
-        #: Instant-level cluster resolutions answered by copying the
-        #: previous instant (the cluster-level skip), across every run.
-        self.skipped_clusters = 0
         #: Why blocks fell back, keyed by ``ExceptionType: message`` — the
         #: broad fallback catch is a semantics safety net, so this is how a
         #: coding bug masquerading as a slow path stays diagnosable.
@@ -1093,12 +1026,15 @@ class VectorExecutionPlan:
             item for item in plan._work if item[0] not in vector_slots
         )
         residual_slots = {item[0] for item in self._residual_work}
-        if cluster_residue:
-            self._clusters, self._global_groups = self._build_clusters(
-                plan, grouped, self._residual_work
-            )
-        else:
-            self._clusters, self._global_groups = None, []
+        # ``^=`` groups with a residual member are propagated by the sweep;
+        # the others are decided by the strata and checked block-wide.
+        self._residual_groups: List[Tuple[Tuple[int, ...], str]] = []
+        self._decided_groups: List[Tuple[Tuple[int, ...], str]] = []
+        for group in plan._sync_groups:
+            if residual_slots.intersection(group[0]):
+                self._residual_groups.append(group)
+            else:
+                self._decided_groups.append(group)
         # Residual columns the post kernels read, to copy back into the
         # block arrays after the sweep.
         post_deps: set = set()
@@ -1216,99 +1152,6 @@ class VectorExecutionPlan:
             )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _build_clusters(plan, grouped, residual_work):
-        """Partition the residual work into independent clusters.
-
-        Returns ``(clusters, global_groups)`` where *clusters* is a list of
-        :class:`_ResidueCluster` (or ``None`` when clustering is
-        pointless — fewer than two clusters) and *global_groups* are the
-        ``^=`` groups with no residual member, which still need one
-        propagation pass per instant for their disagreement diagnostics.
-        """
-        residual_slots = {item[0] for item in residual_work}
-        if len(residual_slots) < 2:
-            return None, []
-        parent = {slot: slot for slot in residual_slots}
-
-        def find(slot: int) -> int:
-            root = slot
-            while parent[root] != root:
-                root = parent[root]
-            while parent[slot] != root:
-                parent[slot], slot = root, parent[slot]
-            return root
-
-        def union(a: int, b: int) -> None:
-            parent[find(a)] = find(b)
-
-        residual_items = list(residual_work)
-        reads_of: Dict[int, set] = {}
-        for item in residual_items:
-            slot, name = item[0], item[3].name
-            reads = set()
-            for expr in grouped[name]:
-                reads.update(plan.slot_of[ref] for ref in free_signals(expr))
-            reads_of.setdefault(slot, set()).update(reads)
-            for dep in reads:
-                if dep in residual_slots:
-                    union(slot, dep)
-        for slots, _names in plan._sync_groups:
-            members = [slot for slot in slots if slot in residual_slots]
-            for a, b in zip(members, members[1:]):
-                union(a, b)
-
-        ordered_roots: List[int] = []
-        members_of: Dict[int, List[Any]] = {}
-        for item in residual_items:
-            root = find(item[0])
-            if root not in members_of:
-                members_of[root] = []
-                ordered_roots.append(root)
-            members_of[root].append(item)
-        global_groups = []
-        groups_of: Dict[int, List[Any]] = {}
-        for group in plan._sync_groups:
-            members = [slot for slot in group[0] if slot in residual_slots]
-            if members:
-                groups_of.setdefault(find(members[0]), []).append(group)
-            else:
-                global_groups.append(group)
-        if len(ordered_roots) < 2:
-            return None, []
-
-        clusters = []
-        for root in ordered_roots:
-            items = members_of[root]
-            cluster_slots = {item[0] for item in items}
-            groups = groups_of.get(root, [])
-            skippable = all(
-                item[1]
-                and item[3].definitions == 1
-                and all(
-                    _structurally_vectorizable(expr)
-                    for expr in grouped[item[3].name]
-                )
-                for item in items
-            )
-            external: set = set()
-            for item in items:
-                external.update(reads_of[item[0]])
-            for slots, _names in groups:
-                external.update(slots)
-            external -= cluster_slots
-            clusters.append(
-                _ResidueCluster(
-                    work=tuple(items),
-                    groups=tuple(groups),
-                    target_slots=tuple(sorted(cluster_slots)),
-                    skippable=skippable,
-                    external_slots=tuple(sorted(external)),
-                )
-            )
-        return clusters, global_groups
-
-    # ------------------------------------------------------------------
     def statistics(self) -> VectorPlanStatistics:
         """Compile-time shape of the stratum partition."""
         pre = sum(1 for kind, _a, _b in self._stages if kind == "kernel")
@@ -1322,7 +1165,6 @@ class VectorExecutionPlan:
             residual=len(self._residual_work),
             block_size=self.block_size,
             recurrence=recurrence,
-            clusters=len(self._clusters) if self._clusters else 0,
         )
 
     # ------------------------------------------------------------------
@@ -1370,14 +1212,6 @@ class VectorExecutionPlan:
         ]
         # Stage and post-kernel targets are declared, and only undeclared
         # names can be scenario-driven, so the strata never need filtering.
-        clusters = self._clusters
-        if clusters is not None and driven_slots:
-            clusters = [
-                cluster.without(driven_slots)
-                if any(slot in driven_slots for slot in cluster.target_slots)
-                else cluster
-                for cluster in clusters
-            ]
 
         record_plan = plan._build_record_plan(recorded, scenario_only)
         read_row = plan._row_reader(record_plan)
@@ -1430,7 +1264,6 @@ class VectorExecutionPlan:
                     strict,
                     pure_work,
                     residual_work,
-                    clusters,
                     deliver,
                 )
                 if val_rows is not None:
@@ -1475,7 +1308,6 @@ class VectorExecutionPlan:
         strict: bool,
         pure_work,
         residual_work,
-        clusters,
         deliver,
     ) -> Optional[List[List[Any]]]:
         """Execute one instant block, replaying it purely on any anomaly.
@@ -1490,7 +1322,7 @@ class VectorExecutionPlan:
         varmem_snapshot = list(varmem)
         try:
             val_rows = self._run_vector_block(
-                start, size, driven, state, varmem, strict, residual_work, clusters
+                start, size, driven, state, varmem, strict, residual_work
             )
         except Exception as error:
             # Anything observable happened (a warning, a simulation error, a
@@ -1511,7 +1343,7 @@ class VectorExecutionPlan:
         return val_rows
 
     def _run_vector_block(
-        self, start, size, driven, state, varmem, strict, residual_work, clusters
+        self, start, size, driven, state, varmem, strict, residual_work
     ) -> List[List[Any]]:
         """The optimistic hybrid executor: numpy strata + residual sweep.
 
@@ -1594,54 +1426,44 @@ class VectorExecutionPlan:
                 if kind != _OBJ:
                     ctx.typed[slot] = (values, kind)
 
-        # Block-level verification of the residue-free ``^=`` groups: when
-        # every member's presence is decided (no UNKNOWN anywhere in the
-        # block) and all members share the same presence mask, the
-        # per-instant propagation is a provable no-op — nothing to fill,
-        # nothing to diagnose.  Groups that cannot be verified block-wide
-        # stay on the per-instant path for their exact diagnostics.
-        global_groups = self._global_groups
-        if global_groups and clusters is not None:
-            unverified = []
-            for group in global_groups:
-                base_mask = None
-                for slot in group[0]:
-                    column = st_block[:, slot]
-                    present = column == PRESENT
-                    if not bool((present | (column == _ABSENT_ST)).all()):
-                        unverified.append(group)
-                        break
-                    if base_mask is None:
-                        base_mask = present
-                    elif not _np.array_equal(base_mask, present):
-                        unverified.append(group)
-                        break
-            global_groups = unverified
+        # Block-level verification of the decided ``^=`` groups: when every
+        # member's presence is decided (no UNKNOWN anywhere in the block)
+        # and all members share the same presence mask, the per-instant
+        # propagation is a provable no-op — nothing to fill, nothing to
+        # diagnose.  Groups that cannot be verified block-wide are
+        # propagated once per instant, before the sweep (no residual target
+        # writes their members, so once is their fixed point), for their
+        # exact diagnostics.
+        unverified = []
+        for group in self._decided_groups:
+            columns = st_block[:, list(group[0])]
+            if not (
+                bool(((columns == PRESENT) | (columns == _ABSENT_ST)).all())
+                and bool((columns == columns[:, :1]).all())
+            ):
+                unverified.append(group)
 
         st_rows = st_block.tolist()
         val_rows = val_block.tolist()
 
         block_warnings: List[str] = []
         resolve = plan._resolve_instant
+        propagate = plan._propagate_sync_groups
+        residual_groups = self._residual_groups
         # The plan's `_finish_instant` minus the commits of scan-promoted
         # delays, whose state the scans advanced block-level already.
         vector_commits = self._vector_commits
         uses_varmem = plan.uses_varmem
-        prev_st = prev_vals = None
         for i in range(size):
             instant = start + i
             st = st_rows[i]
             vals = val_rows[i]
-            if clusters is None:
-                resolve(
-                    st, vals, state, varmem, instant, block_warnings, strict,
-                    residual_work,
-                )
-            else:
-                self._resolve_clustered(
-                    st, vals, state, varmem, instant, block_warnings, strict,
-                    clusters, global_groups, prev_st, prev_vals,
-                )
+            if unverified:
+                propagate(st, instant, block_warnings, strict, unverified)
+            resolve(
+                st, vals, state, varmem, instant, block_warnings, strict,
+                residual_work, residual_groups,
+            )
             if block_warnings:
                 raise _FallbackBlock("residual warning")
             for commit in vector_commits:
@@ -1650,7 +1472,6 @@ class VectorExecutionPlan:
                 for slot_index, code in enumerate(st):
                     if code == PRESENT:
                         varmem[slot_index] = vals[slot_index]
-            prev_st, prev_vals = st, vals
 
         post_kernels = self._post_kernels
         if post_kernels:
@@ -1684,53 +1505,6 @@ class VectorExecutionPlan:
                         val_rows[i][slot] = value
         return val_rows
 
-    def _resolve_clustered(
-        self, st, vals, state, varmem, instant, warnings, strict, clusters,
-        global_groups, prev_st, prev_vals,
-    ) -> None:
-        """One instant's residual resolution, cluster by cluster.
-
-        Clusters are independent (no cross-cluster reads or shared ``^=``
-        groups), so sweeping them separately reaches the same fixed point as
-        the reference's joint sweep; *global_groups* — the residue-free
-        groups the caller could not verify block-wide — are propagated once
-        up front for their diagnostics.  A *skippable* cluster (stateless,
-        single-definition, declared members) whose external
-        ``(status, value)`` signature matches the previous instant copies
-        that instant's resolution instead of sweeping.  Blocked targets are
-        collected across clusters so the instantaneous-cycle report matches
-        the reference's.
-        """
-        plan = self.plan
-        if global_groups:
-            plan._propagate_sync_groups(
-                st, instant, warnings, strict, global_groups
-            )
-        blocked: List[Any] = []
-        for cluster in clusters:
-            if (
-                prev_st is not None
-                and cluster.skippable
-                and _signature_unchanged(
-                    cluster.external_slots, st, vals, prev_st, prev_vals
-                )
-            ):
-                for slot in cluster.target_slots:
-                    code = prev_st[slot]
-                    st[slot] = code
-                    if code == PRESENT:
-                        vals[slot] = prev_vals[slot]
-                self.skipped_clusters += 1
-                continue
-            unresolved = plan._sweep_worklist(
-                st, vals, state, varmem, instant, warnings, strict,
-                cluster.work, cluster.groups,
-            )
-            if unresolved:
-                blocked.extend(unresolved)
-        if blocked:
-            plan._raise_blocked(st, blocked, instant)
-
     def _run_pure_block(
         self, start, size, driven, state, varmem, warnings, strict, pure_work, deliver
     ) -> None:
@@ -1740,6 +1514,7 @@ class VectorExecutionPlan:
         n_slots = len(plan.names)
         resolve = plan._resolve_instant
         finish_instant = plan._finish_instant
+        sync_groups = plan._sync_groups
         for i in range(size):
             instant = start + i
             st = list(template)
@@ -1748,7 +1523,10 @@ class VectorExecutionPlan:
                 value = sample(instant)
                 st[slot] = _ABSENT_ST if value is ABSENT else PRESENT
                 vals[slot] = value
-            resolve(st, vals, state, varmem, instant, warnings, strict, pure_work)
+            resolve(
+                st, vals, state, varmem, instant, warnings, strict, pure_work,
+                sync_groups,
+            )
             finish_instant(st, vals, state, varmem, strict)
             deliver(instant, vals)
 
@@ -1757,14 +1535,10 @@ def compile_vectorized(
     process: ProcessModel,
     block_size: int = DEFAULT_BLOCK_SIZE,
     scan_recurrences: bool = True,
-    cluster_residue: bool = True,
 ) -> VectorExecutionPlan:
     """Compile *process* into a plan plus its vector strata."""
     return VectorExecutionPlan(
-        compile_plan(process),
-        block_size=block_size,
-        scan_recurrences=scan_recurrences,
-        cluster_residue=cluster_residue,
+        compile_plan(process), block_size=block_size, scan_recurrences=scan_recurrences
     )
 
 
@@ -1772,11 +1546,9 @@ class VectorizedBackend(SimulationBackend):
     """Block-vectorized executor: numpy strata over the compiled plan.
 
     Construction options: ``block_size`` (instants per block, default
-    :data:`DEFAULT_BLOCK_SIZE`), ``scan_recurrences`` (promote delay
-    recurrences into scan stages, default ``True``) and ``cluster_residue``
-    (partition the residual sweep into independent clusters with a
-    per-instant skip, default ``True``).  Any other keyword is a
-    :class:`TypeError`.
+    :data:`DEFAULT_BLOCK_SIZE`) and ``scan_recurrences`` (promote delay
+    recurrences into scan stages, default ``True``).  Any other keyword is
+    a :class:`TypeError`.
     """
 
     name = "vectorized"
@@ -1787,18 +1559,13 @@ class VectorizedBackend(SimulationBackend):
         strict: bool = True,
         block_size: int = DEFAULT_BLOCK_SIZE,
         scan_recurrences: bool = True,
-        cluster_residue: bool = True,
     ) -> None:
         super().__init__(process, strict)
         self.block_size = max(1, int(block_size))
         self.scan_recurrences = scan_recurrences
-        self.cluster_residue = cluster_residue
         self._plan = compile_plan(process)
         self._vector = VectorExecutionPlan(
-            self._plan,
-            block_size=self.block_size,
-            scan_recurrences=scan_recurrences,
-            cluster_residue=cluster_residue,
+            self._plan, block_size=self.block_size, scan_recurrences=scan_recurrences
         )
 
     @property
@@ -1839,7 +1606,6 @@ class VectorizedBackend(SimulationBackend):
             "strict": self.strict,
             "block_size": self.block_size,
             "scan_recurrences": self.scan_recurrences,
-            "cluster_residue": self.cluster_residue,
         }
 
     def __setstate__(self, payload: Dict[str, Any]) -> None:
@@ -1848,7 +1614,6 @@ class VectorizedBackend(SimulationBackend):
             strict=payload["strict"],
             block_size=payload["block_size"],
             scan_recurrences=payload["scan_recurrences"],
-            cluster_residue=payload["cluster_residue"],
         )
 
 

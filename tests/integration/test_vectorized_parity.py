@@ -5,9 +5,8 @@ execution plan (and therefore for the reference interpreter): same flows
 bit-for-bit — including the Python *types* of every value — same warning
 list, same errors, on the single-run path, the sharded batch path and the
 streaming-sink path.  Odd block sizes exercise the block boundaries.  The
-same holds with the residue clustering or both plan stages (recurrence
-scans and clustering) switched off — the configurations the E16 benchmark
-measures as its baseline — and with one-instant blocks.
+same holds with the recurrence scans switched off — the configuration the
+E16 benchmark measures as its baseline — and with one-instant blocks.
 """
 
 import pytest
@@ -217,12 +216,10 @@ def test_vectorized_backend_fails_identically(name, translated):
     assert outcomes[0] == outcomes[1]
 
 
-#: Non-default vectorized plans: the E16 baselines (no residue clustering;
-#: neither recurrence scans nor clustering) and one-instant blocks, where
-#: every instant crosses a block boundary.
+#: Non-default vectorized plans: the E16 baseline (no recurrence scans)
+#: and one-instant blocks, where every instant crosses a block boundary.
 KNOB_SETTINGS = {
-    "no-cluster": {"cluster_residue": False},
-    "no-scan-no-cluster": {"scan_recurrences": False, "cluster_residue": False},
+    "no-scan": {"scan_recurrences": False},
     "one-instant-blocks": {"block_size": 1},
 }
 
@@ -236,8 +233,6 @@ def _knob_backend(system_model, knobs, strict=False):
     assert stats.block_size == options["block_size"]
     if not knobs.get("scan_recurrences", True):
         assert stats.recurrence == 0
-    if not knobs.get("cluster_residue", True):
-        assert stats.clusters == 0
     return backend
 
 
@@ -262,8 +257,8 @@ def test_vectorized_knobs_produce_identical_traces(name, knobs, translated):
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_vectorized_without_knobs_streams_identically(name, translated):
-    """With both knobs off, streaming sinks observe the same instants as on
-    ``compiled``."""
+    """With recurrence scans off, streaming sinks observe the same instants
+    as on ``compiled``."""
     result = translated(name)
     system_model = result.translation.system_model
     scenario = scenario_sweep(
@@ -273,7 +268,7 @@ def test_vectorized_without_knobs_streams_identically(name, translated):
     sinks = []
     for runner in (
         CompiledBackend(system_model, strict=False),
-        _knob_backend(system_model, KNOB_SETTINGS["no-scan-no-cluster"]),
+        _knob_backend(system_model, KNOB_SETTINGS["no-scan"]),
     ):
         materialize, stats = MaterializeSink(), StatisticsSink()
         assert runner.run(scenario, sinks=[materialize, stats]) is None
@@ -288,8 +283,9 @@ def test_vectorized_without_knobs_streams_identically(name, translated):
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_vectorized_without_knobs_fails_identically(name, translated):
-    """With both knobs off, conflicting stimuli produce the same outcome
-    (success or identical error) in strict mode as on ``compiled``."""
+    """With recurrence scans off, conflicting stimuli produce the same
+    outcome (success or identical error) in strict mode as on
+    ``compiled``."""
     result = translated(name)
     system_model = result.translation.system_model
     flat = system_model.flatten()
@@ -303,7 +299,7 @@ def test_vectorized_without_knobs_fails_identically(name, translated):
     outcomes = []
     for runner in (
         CompiledBackend(system_model, strict=True),
-        _knob_backend(system_model, KNOB_SETTINGS["no-scan-no-cluster"], strict=True),
+        _knob_backend(system_model, KNOB_SETTINGS["no-scan"], strict=True),
     ):
         try:
             trace = runner.run(scenario)

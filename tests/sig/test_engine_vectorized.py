@@ -73,7 +73,6 @@ def test_partition_statistics():
     assert stats.post_stratum == 0
     assert stats.residual == 0
     assert stats.vectorized == 5
-    assert stats.clusters == 0
     assert stats.block_size == 8
     assert "pre-sweep" in stats.summary()
     assert "recurrence" in stats.summary()
@@ -82,16 +81,13 @@ def test_partition_statistics():
 def test_partition_statistics_without_recurrence_scan():
     """With the scan stage off, the delay pair stays residual and the alarm
     moves to the post-stratum, as before the recurrence kernels existed."""
-    plan = compile_vectorized(
-        _numeric_model(), block_size=8, scan_recurrences=False, cluster_residue=False
-    )
+    plan = compile_vectorized(_numeric_model(), block_size=8, scan_recurrences=False)
     stats = plan.statistics()
     assert stats.pre_stratum == 2
     assert stats.recurrence == 0
     assert stats.post_stratum == 1
     assert stats.residual == 2
     assert stats.vectorized == 3
-    assert stats.clusters == 0
 
 
 @pytest.mark.parametrize("block_size", [1, 3, 7, 32, 1024])
@@ -280,12 +276,12 @@ def test_unsynchronised_recurrence_is_not_promoted():
         CompiledBackend(model, strict=False).run(scenario)
 
 
-def test_residue_clusters_preserve_instantaneous_cycle():
-    """Independent residual pipelines split into clusters, and a blocked
-    cluster still reports the reference's instantaneous-cycle error."""
+def test_residual_sweep_preserves_instantaneous_cycle():
+    """Independent residual pipelines share one sweep, and a blocked one
+    still reports the reference's instantaneous-cycle error."""
     register_stepwise_operation("vec_unit_id_a", lambda x: x)
     try:
-        model = ProcessModel("clusters")
+        model = ProcessModel("residue")
         model.input("p", REAL)
         model.input("q", REAL)
         model.output("a", REAL)
@@ -299,8 +295,7 @@ def test_residue_clusters_preserve_instantaneous_cycle():
         scenario.inputs["q"] = [float(i) for i in range(20)]
 
         backend = VectorizedBackend(model, strict=False, block_size=8)
-        stats = backend.vector_plan.statistics()
-        assert stats.clusters == 2
+        assert backend.vector_plan.statistics().residual == 3
         from repro.sig.simulator import InstantaneousCycle
 
         with pytest.raises(InstantaneousCycle) as vec_error:
@@ -312,14 +307,13 @@ def test_residue_clusters_preserve_instantaneous_cycle():
         STEPWISE_OPERATIONS.pop("vec_unit_id_a", None)
 
 
-def test_cluster_skip_copies_previous_instant():
-    """A stateless residual cluster whose external inputs repeat is
-    resolved once per block and copied afterwards — observably identical,
-    just counted.  ``d``/``dd`` read each other (a *resolvable* merge
-    cycle), which is what keeps them residual yet skippable."""
+def test_residual_merge_cycle_resolves():
+    """``d``/``dd`` read each other (a *resolvable* merge cycle), which
+    keeps them residual; the sweep resolves them without a fallback, next
+    to an unrelated user-operator target."""
     register_stepwise_operation("vec_unit_noop", lambda x: x + 0.0)
     try:
-        model = ProcessModel("skippy")
+        model = ProcessModel("merge_cycle")
         model.input("p", REAL)
         model.input("q", REAL)
         model.output("d", REAL)
@@ -334,16 +328,103 @@ def test_cluster_skip_copies_previous_instant():
 
         reference = CompiledBackend(model, strict=False).run(scenario)
         backend = VectorizedBackend(model, strict=False, block_size=8)
-        assert backend.vector_plan.statistics().clusters == 2
         trace = backend.run(scenario)
         assert trace.flows == reference.flows
         assert backend.vector_plan.fallback_blocks == 0
-        # p is constant, so the {d, dd} cluster skips every instant after
-        # the first of each of the three blocks; q changes every instant,
-        # so the user-operator cluster never skips.
-        assert backend.vector_plan.skipped_clusters == 24 - 3
     finally:
         STEPWISE_OPERATIONS.pop("vec_unit_noop", None)
+
+
+@pytest.fixture
+def identity_operator():
+    register_stepwise_operation("vec_unit_same", lambda x: x)
+    yield
+    STEPWISE_OPERATIONS.pop("vec_unit_same", None)
+
+
+def _two_group_model():
+    """``x ^= y``: two kernels, no residual member (a *decided* group).
+    ``r ^= s``: the user-operator target ``r`` stays residual, ``s`` is a
+    kernel (a *residual* group, propagated by the sweep)."""
+    model = ProcessModel("two_groups")
+    for name in ("u", "v", "w", "t"):
+        model.input(name, REAL)
+    model.output("x", REAL)
+    model.define("x", b.ref("u") + 1.0)
+    model.output("y", REAL)
+    model.define("y", b.ref("v") * 2.0)
+    model.synchronise("x", "y")
+    model.output("s", REAL)
+    model.define("s", b.ref("w") * 3.0)
+    model.output("r", REAL)
+    model.define("r", b.func("vec_unit_same", b.ref("t")))
+    model.synchronise("r", "s")
+    return model
+
+
+#: The decided group disagrees at instant 10, the residual group at 12.
+_DECIDED_HOLE, _RESIDUAL_HOLE = 10, 12
+
+
+def _two_group_scenario(length=16):
+    scenario = Scenario(length)
+    even = [float(i) if i % 2 == 0 else ABSENT for i in range(length)]
+    scenario.inputs["u"] = [float(i) for i in range(length)]
+    scenario.inputs["v"] = [
+        ABSENT if i == _DECIDED_HOLE else float(i) for i in range(length)
+    ]
+    scenario.inputs["w"] = even
+    scenario.inputs["t"] = [
+        ABSENT if i == _RESIDUAL_HOLE else value for i, value in enumerate(even)
+    ]
+    return scenario
+
+
+def _run_outcome(backend, scenario):
+    try:
+        trace = backend.run(scenario)
+    except ClockViolation as error:
+        return "ClockViolation", str(error)
+    return trace.flows, trace.warnings
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("block_size", [1, 4, 8])
+def test_decided_and_residual_groups(block_size, strict, identity_operator):
+    """A decided group is checked once per block and falls back only in a
+    block where it disagrees; a group with a residual member is propagated
+    by the sweep.  Traces, warnings and errors match ``compiled``."""
+    model = _two_group_model()
+    backend = VectorizedBackend(model, strict=strict, block_size=block_size)
+    vector_plan = backend.vector_plan
+    assert [names for _slots, names in vector_plan._decided_groups] == ["x, y"]
+    assert [names for _slots, names in vector_plan._residual_groups] == ["r, s"]
+    assert vector_plan.statistics().residual == 1
+    compiled = CompiledBackend(model, strict=strict)
+
+    # The first eight instants agree: every block runs vectorised.
+    agreeing = _two_group_scenario(length=8)
+    expected = _run_outcome(compiled, agreeing)
+    assert expected[1] == []
+    assert _run_outcome(backend, agreeing) == expected
+    assert vector_plan.fallback_blocks == 0
+    assert vector_plan.vector_blocks == 8 // block_size
+
+    # Only the blocks holding a disagreeing instant fall back.
+    vector_plan.vector_blocks = vector_plan.fallback_blocks = 0
+    scenario = _two_group_scenario()
+    expected = _run_outcome(compiled, scenario)
+    assert _run_outcome(backend, scenario) == expected
+    if strict:
+        assert expected[0] == "ClockViolation" and "x, y" in expected[1]
+        assert vector_plan.fallback_blocks == 1
+        assert vector_plan.vector_blocks == _DECIDED_HOLE // block_size
+    else:
+        assert any("x, y" in w and "instant 10" in w for w in expected[1])
+        assert any("r, s" in w and "instant 12" in w for w in expected[1])
+        disagreeing = {_DECIDED_HOLE // block_size, _RESIDUAL_HOLE // block_size}
+        assert vector_plan.fallback_blocks == len(disagreeing)
+        assert vector_plan.vector_blocks == 16 // block_size - len(disagreeing)
 
 
 def test_unknown_backend_keywords_raise():
@@ -356,6 +437,8 @@ def test_unknown_backend_keywords_raise():
         create_backend(model, "vectorized", strict=False, block_size=4)
     with pytest.raises(TypeError):
         VectorizedBackend(model, strict=False, blok_size=4)
+    with pytest.raises(TypeError):
+        VectorizedBackend(model, cluster_residue=False)
     with pytest.raises(TypeError):
         simulate(model, _scenario(10), backend="vectorized", block_size=4)
     backend = VectorizedBackend(model, strict=False, block_size=5)

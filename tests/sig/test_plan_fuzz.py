@@ -6,7 +6,9 @@ nested; 1-, 2- and 3-ary pure operators, a user-registered operator resolved
 at application time and an impure one that counts its calls; delays of depth
 1 and 2, cells and shared-variable reads; multiply-defined targets and
 ``^=`` groups; an undeclared name that the scenario may drive — plus input
-flows that make operands disagree.  The property: the compiled plan's
+flows that make operands disagree.  Leaves mostly read the inputs and the
+targets defined before, so most systems resolve and reach their operators
+rather than end in an instantaneous cycle.  The property: the compiled plan's
 generated evaluators give the reference's traces (values and Python value
 types) and warnings, or raise the same error with the same message, in
 strict and non-strict mode, and with the nesting bound past which a subtree
@@ -55,14 +57,21 @@ def user_operators():
 
 
 _values = st.one_of(st.integers(min_value=-2, max_value=3), st.booleans())
-_names = st.sampled_from(_INPUTS + _TARGETS + (_GHOST,))
 
-_leaves = st.one_of(
-    _names.map(b.ref),
-    _names.map(b.ref),
-    _names.map(b.var),
-    st.one_of(_values, st.none()).map(b.const),
-)
+
+def _names(k):
+    """Names target *k* reads: mostly inputs and targets defined before it,
+    now and then anything (a later target, itself, the undeclared name), so
+    most draws resolve and reach the operators instead of ending in an
+    instantaneous cycle."""
+    inputs = st.sampled_from(_INPUTS)
+    return st.one_of(
+        inputs,
+        inputs,
+        inputs,
+        st.sampled_from(_INPUTS + _TARGETS[:k]),
+        st.sampled_from(_INPUTS + _TARGETS + (_GHOST,)),
+    )
 
 
 def _nodes(children):
@@ -76,6 +85,11 @@ def _nodes(children):
         st.builds(b.func, ternary, children, children, children),
         st.builds(b.delay, children, init=inits, depth=st.sampled_from([1, 2])),
         st.builds(b.when, children, children),
+        # An operator under a nested edge (a ``when`` operand, a
+        # ``default`` right side): once the nesting bound is lowered, its
+        # clock violations are reported from a generated sub-evaluator.
+        st.builds(b.when, st.builds(b.func, binary, children, children), children),
+        st.builds(b.default, children, st.builds(b.func, binary, children, children)),
         st.builds(b.when_clock, children),
         st.builds(b.default, children, children),
         st.builds(b.cell, children, children, init=inits),
@@ -86,7 +100,19 @@ def _nodes(children):
     )
 
 
-_expressions = st.recursive(_leaves, _nodes, max_leaves=7)
+def _expressions(k):
+    """Expressions for target *k*'s definitions."""
+    names = _names(k)
+    leaves = st.one_of(
+        names.map(b.ref),
+        names.map(b.ref),
+        names.map(b.var),
+        st.one_of(_values, st.none()).map(b.const),
+    )
+    return st.recursive(leaves, _nodes, max_leaves=7)
+
+
+_EXPRESSIONS = tuple(_expressions(k) for k in range(len(_TARGETS)))
 
 
 @st.composite
@@ -100,13 +126,15 @@ def _systems(draw):
             model.output(name, INTEGER)
         else:
             model.local(name, INTEGER)
-    for name in _TARGETS[: draw(st.integers(min_value=1, max_value=len(_TARGETS)))]:
+    for k, name in enumerate(
+        _TARGETS[: draw(st.integers(min_value=1, max_value=len(_TARGETS)))]
+    ):
         if draw(st.integers(min_value=0, max_value=4)) == 0:
             # A multiply-defined target: partial definitions.
             for _ in range(draw(st.integers(min_value=2, max_value=3))):
-                model.define_partial(name, draw(_expressions))
+                model.define_partial(name, draw(_EXPRESSIONS[k]))
         else:
-            model.define(name, draw(_expressions))
+            model.define(name, draw(_EXPRESSIONS[k]))
     # ``^=`` groups, most tying a target to another signal: presumed
     # statuses only arise through them.
     everything = _INPUTS + _TARGETS + (_GHOST,)
