@@ -17,7 +17,7 @@ dominant to **< 25%** of targets.  Both fractions are persisted in the
 ``residue_lowering_e16`` extras of ``BENCH_e10.json``.
 """
 
-from bench_timing import best_of
+from bench_timing import best_of_interleaved
 
 from repro.sig import builder as b
 from repro.sig.engine import VectorizedBackend
@@ -63,11 +63,11 @@ def test_bench_e16_residue_lowering(bench_e10):
     scenario = sensor_scenario(INSTANTS)
 
     before = VectorizedBackend(model, strict=False, scan_recurrences=False)
-    before_trace, before_seconds = best_of(lambda: before.run(scenario))
-    stats_before = before.vector_plan.statistics()
-
     after = VectorizedBackend(model, strict=False)
-    after_trace, after_seconds = best_of(lambda: after.run(scenario))
+    (before_trace, before_seconds), (after_trace, after_seconds) = (
+        best_of_interleaved(lambda: before.run(scenario), lambda: after.run(scenario))
+    )
+    stats_before = before.vector_plan.statistics()
     stats_after = after.vector_plan.statistics()
 
     assert after_trace.flows == before_trace.flows

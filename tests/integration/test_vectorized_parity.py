@@ -6,7 +6,8 @@ bit-for-bit — including the Python *types* of every value — same warning
 list, same errors, on the single-run path, the sharded batch path and the
 streaming-sink path.  Odd block sizes exercise the block boundaries.  The
 same holds with the recurrence scans switched off — the configuration the
-E16 benchmark measures as its baseline — and with one-instant blocks.
+E16 benchmark measures as its baseline — with one-instant blocks, and with
+both at once.
 """
 
 import pytest
@@ -216,11 +217,14 @@ def test_vectorized_backend_fails_identically(name, translated):
     assert outcomes[0] == outcomes[1]
 
 
-#: Non-default vectorized plans: the E16 baseline (no recurrence scans)
-#: and one-instant blocks, where every instant crosses a block boundary.
+#: Non-default vectorized plans: the E16 baseline (no recurrence scans),
+#: one-instant blocks, where every instant crosses a block boundary, and
+#: both together, where the decided ``^=`` groups are checked at every
+#: instant next to a residual sweep that also carries the recurrences.
 KNOB_SETTINGS = {
     "no-scan": {"scan_recurrences": False},
     "one-instant-blocks": {"block_size": 1},
+    "no-scan-one-instant-blocks": {"scan_recurrences": False, "block_size": 1},
 }
 
 
